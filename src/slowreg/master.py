@@ -6,8 +6,15 @@ indicators, w are per-edge change indicators, and eta underestimates the
 convex support-cost function via an accumulating pool of gradient cuts.
 Cuts are supporting hyperplanes of c, hence valid in every node, so a single
 tree shares one pool. A node whose LP relaxation turns integral either adds
-a violated cut and re-solves in place (warm-started through the appended
-row's artificial column) or certifies an incumbent and closes.
+a violated cut and re-solves in place or certifies an incumbent and closes.
+Nodes are explored best bound first.
+
+Only the re-solve after a cut is warm-started: the previous optimal basis is
+passed on unchanged and the simplex extends it by the new row. A child node
+starts cold. It differs from its parent by one tightened bound on the
+branched z, and that z is basic and fractional in the parent's basis, so the
+parent's basis is never primal feasible for the child; reusing it would take
+a dual simplex.
 
 Variable layout: eta at 0, z_{t,d} at 1 + t*D + d, s_d at 1 + T*D + d,
 w_{e,d} at 1 + T*D + D + e*D + d. All rows are <= rows.
@@ -23,7 +30,7 @@ import numpy as np
 
 from .oracle import beta_star, eval_gradient, evaluate
 from .problem import BudgetError, QuadForm, SparsityBudget, check_feasible
-from .simplex import BoxedLinearProgram, LPState, extend_state, solve_boxed_lp
+from .simplex import BoxedLinearProgram, solve_boxed_lp
 
 _INT_TOL = 1e-6
 
@@ -69,19 +76,12 @@ class SolveLimits:
 
     time_limit: float = 300.0
     gap_tol: float = 1e-6
-    cut_tol: float | None = None  # default: min(1e-6, gap_tol)
     max_nodes: int | None = None
-
-    @property
-    def effective_cut_tol(self) -> float:
-        if self.cut_tol is not None:
-            return self.cut_tol
-        return min(1e-6, self.gap_tol)
 
 
 @dataclass
 class SolveResult:
-    status: str                    # optimal | time_limit | infeasible
+    status: str                    # optimal | time_limit | node_limit | infeasible
     incumbent_z: np.ndarray | None
     incumbent_beta: np.ndarray | None
     upper_bound: float             # cost of the incumbent support
@@ -102,8 +102,6 @@ class _Node:
     bound: float
     fix0: np.ndarray
     fix1: np.ndarray
-    state: LPState | None
-    state_rows: int
 
 
 class MasterProgram:
@@ -243,23 +241,18 @@ def solve_support_selection(
     budget: SparsityBudget,
     warm_start: np.ndarray | None = None,
     limits: SolveLimits | None = None,
-    node_order: str = "best_bound",
 ) -> SolveResult:
     """Run the cutting-plane tree search and return the best support found.
 
     `warm_start` is a budget-feasible binary support used to seed both the
     incumbent and the first cut; an infeasible warm start raises BudgetError.
-    `node_order` picks the exploration strategy; both orders return a point
-    of the same cost whenever the search runs to optimality.
     """
     if limits is None:
         limits = SolveLimits()
-    if node_order not in ("best_bound", "depth_first"):
-        raise ValueError("node_order must be 'best_bound' or 'depth_first'")
     start_time = time.perf_counter()
     mp = MasterProgram(qf, budget)
     td = mp.t_count * mp.d_count
-    cut_tol = limits.effective_cut_tol
+    cut_tol = min(1e-6, limits.gap_tol)
 
     incumbent: np.ndarray | None = None
     upper = np.inf
@@ -274,21 +267,12 @@ def solve_support_selection(
         incumbent = zb
         upper = seed.value
 
-    heap: list = []
     seq = 0
     root = _Node(
         seq=seq, depth=0, bound=mp.eta_lower,
         fix0=np.zeros(td, dtype=bool), fix1=np.zeros(td, dtype=bool),
-        state=None, state_rows=mp.m,
     )
-
-    def push(node: _Node) -> None:
-        if node_order == "best_bound":
-            heapq.heappush(heap, (node.bound, node.seq, node))
-        else:
-            heapq.heappush(heap, (-node.seq, 0, node))
-
-    push(root)
+    heap = [(root.bound, root.seq, root)]
     node_count = 0
     lower = mp.eta_lower
     status: str | None = None
@@ -299,11 +283,7 @@ def solve_support_selection(
         return time.perf_counter() - start_time
 
     while heap:
-        if node_order == "best_bound":
-            open_lower = heap[0][0]
-        else:
-            open_lower = min(entry[2].bound for entry in heap)
-        lower = min(open_lower, upper)
+        lower = min(heap[0][0], upper)
         history.append((elapsed(), lower, upper))
         if _relative_gap(upper, lower) <= limits.gap_tol:
             status = "optimal"
@@ -312,7 +292,7 @@ def solve_support_selection(
             status = "time_limit"
             break
         if limits.max_nodes is not None and node_count >= limits.max_nodes:
-            status = "time_limit"
+            status = "node_limit"
             break
 
         node = heapq.heappop(heap)[2]
@@ -320,13 +300,7 @@ def solve_support_selection(
             continue
         node_count += 1
 
-        start = node.state
-        if start is not None and mp.m > node.state_rows:
-            start = extend_state(
-                start, mp.n_vars, node.state_rows, mp.m - node.state_rows,
-                violated=False,
-            )
-
+        start = None
         while True:  # lazy-evaluation loop on one node
             lp = mp.node_lp(node.fix0, node.fix1)
             res = solve_boxed_lp(lp, start=start)
@@ -349,11 +323,8 @@ def solve_support_selection(
                     cost = ev.cost
                     if cost > eta + cut_tol:
                         grad = eval_gradient(qf, zb, ev.cache)
-                        rows_before = mp.m
                         mp.add_cut(zb, cost, grad)
-                        start = extend_state(
-                            res.state, mp.n_vars, rows_before, 1, violated=True
-                        )
+                        start = res.state
                         continue
                 else:
                     # a cut anchored here already bounds eta by this cost,
@@ -370,13 +341,11 @@ def solve_support_selection(
                     fix1 = node.fix1.copy()
                     (fix0 if value == 0 else fix1)[j] = True
                     seq += 1
-                    push(
-                        _Node(
-                            seq=seq, depth=node.depth + 1, bound=res.objective,
-                            fix0=fix0, fix1=fix1,
-                            state=res.state, state_rows=mp.m,
-                        )
+                    child = _Node(
+                        seq=seq, depth=node.depth + 1, bound=res.objective,
+                        fix0=fix0, fix1=fix1,
                     )
+                    heapq.heappush(heap, (child.bound, child.seq, child))
                 break
 
     if status is None:

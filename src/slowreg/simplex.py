@@ -6,18 +6,24 @@ by appending one slack per row and running a two-phase primal simplex with
 an explicitly maintained basis inverse (rank-one updates, periodic
 refactorization). Column numbering: structural 0..n-1, slacks n..n+m-1,
 artificials n+m..n+2m-1 (artificial i carries column -e_i so it starts
-basic and positive on a violated row).
+basic and positive on a violated row). This numbering stays private to this
+module.
 
 Pivot selection is Dantzig's rule with ties broken toward the lowest column
 index, switching to Bland's rule once the degenerate-step count passes
 10x the column count. All tie-breaks are index-ordered, so repeated solves
-of the same data are bit-identical.
+of the same data are bit-identical. The ratio test only pivots on entries
+that are large relative to the entering column, so a near-singular basis
+cannot be formed, and a point that ends up outside its box or rows raises
+instead of coming back "optimal".
 
-A previous solve's LPState can seed a re-solve. The state is accepted only
-when its basic values are within bounds for the (possibly tightened) new
-box; otherwise the solver silently falls back to the slack-basis start. A
-caller appending one row can extend the state with that row's slack or
-artificial index itself (see `slack_index` / `artificial_index`).
+A previous solve's LPState can seed a re-solve of the same program with
+rows appended, which is how the branch-and-bound re-solves after a new cut.
+`solve_boxed_lp` extends a shorter state itself: each appended row enters
+with its slack basic, and a row the old point violates swaps that slack for
+its artificial, so phase 1 only has to drive that column out. A state whose
+basic values break the (possibly tightened) box is not used; the solve then
+starts from the slack basis.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ _PIVOT_TOL = 1e-9
 _DUAL_TOL = 1e-9
 _DEG_STEP = 1e-11
 _REFACTOR_EVERY = 128
+_CHECK_TOL = 1e-7  # times the data scale, like the feasibility tolerance
 
 
 @dataclass(frozen=True)
@@ -89,28 +96,6 @@ def artificial_index(n: int, m: int, row: int) -> int:
     return n + m + row
 
 
-def extend_state(state: LPState, n: int, old_m: int, added: int, violated: bool) -> LPState:
-    """Map an optimal state of an old_m-row program onto the program with
-    `added` rows appended. Each new row's artificial (violated=True) or slack
-    (violated=False) becomes basic. A violated row's artificial starts
-    positive, so the re-solve only has to drive that one column out; rows
-    added as slacks are repaired inside the solver if they turn out violated.
-    """
-    basis = state.basis.copy()
-    basis[basis >= n + old_m] += added  # artificial indices shift
-    new_m = old_m + added
-    extra = np.empty(added, dtype=np.int64)
-    for i in range(added):
-        row = old_m + i
-        extra[i] = (
-            artificial_index(n, new_m, row) if violated else slack_index(n, row)
-        )
-    basis = np.concatenate([basis, extra])
-    at_upper = np.zeros(n + 2 * new_m, dtype=bool)
-    at_upper[: n + old_m] = state.at_upper[: n + old_m]
-    return LPState(basis=basis, at_upper=at_upper)
-
-
 class _Simplex:
     def __init__(self, lp: BoxedLinearProgram):
         self.a = lp.a
@@ -130,7 +115,9 @@ class _Simplex:
             float(np.max(np.abs(self.b), initial=0.0)),
             float(np.max(np.abs(self.a), initial=0.0)),
         )
+        self.scale = scale
         self.feas_tol = 1e-9 * scale
+        self.max_iter = 200 * (self.n + self.m) + 10_000
         self.basis: np.ndarray | None = None
         self.at_upper = np.zeros(total, dtype=bool)
         self.in_basis = np.zeros(total, dtype=bool)
@@ -205,6 +192,31 @@ class _Simplex:
         self.binv = np.diag(sign)
         self.x_b = r * sign
 
+    def warm_start(self, state: LPState) -> bool:
+        """Install a previous solve's basis; report whether it is feasible.
+
+        Rows appended since that solve enter with their slack basic, and the
+        artificial indices of the old rows shift past them. A violated new
+        row is then repaired like any other negative slack.
+        """
+        old_m = state.basis.size
+        added = self.m - old_m
+        if added < 0 or state.at_upper.size != self.n + 2 * old_m:
+            return False
+        basis = state.basis.copy()
+        basis[basis >= self.n + old_m] += added
+        new_slacks = self.n + np.arange(old_m, self.m)
+        basis = np.concatenate([basis, new_slacks])
+        at_upper = np.zeros(self.total, dtype=bool)
+        at_upper[: self.n + old_m] = state.at_upper[: self.n + old_m]
+        try:
+            self.install(basis, at_upper)
+        except np.linalg.LinAlgError:
+            return False
+        if not self.feasible_now():
+            self.repair_negative_slacks()
+        return self.feasible_now()
+
     def feasible_now(self) -> bool:
         lb = self.lower[self.basis]
         ub = self.upper[self.basis]
@@ -246,11 +258,11 @@ class _Simplex:
         d[self.n + self.m :] = cost[self.n + self.m :] + y
         return d
 
-    def run(self, cost: np.ndarray, max_iter: int) -> str:
+    def run(self, cost: np.ndarray) -> str:
         bland = False
         since_refactor = 0
         while True:
-            if self.iterations >= max_iter:
+            if self.iterations >= self.max_iter:
                 raise RuntimeError("simplex iteration limit exceeded")
             d = self.reduced_costs(cost)
             viol = np.where(self.at_upper, d, -d)
@@ -268,16 +280,18 @@ class _Simplex:
             alpha = self.binv @ self.column(enter)
             delta = -1.0 if self.at_upper[enter] else 1.0
             move = delta * alpha
-            # basic values travel x_b - theta * move
+            # basic values travel x_b - theta * move; a pivot must be large
+            # next to the column's largest entry, or the basis goes singular
+            piv_tol = _PIVOT_TOL * max(1.0, float(np.max(np.abs(move), initial=0.0)))
             theta = self.upper[enter] - self.lower[enter]  # bound-flip distance
             leave_pos = -1
             lb = self.lower[self.basis]
             ub = self.upper[self.basis]
             for i in range(self.m):
                 mi = move[i]
-                if mi > _PIVOT_TOL:
+                if mi > piv_tol:
                     limit = (self.x_b[i] - lb[i]) / mi
-                elif mi < -_PIVOT_TOL:
+                elif mi < -piv_tol:
                     if not np.isfinite(ub[i]):
                         continue
                     limit = (self.x_b[i] - ub[i]) / mi
@@ -336,13 +350,13 @@ class _Simplex:
 
     # -- phases -----------------------------------------------------------
 
-    def phase_one(self, max_iter: int) -> str:
+    def phase_one(self) -> str:
         art = self.basis >= self.n + self.m
         if not np.any(art):
             return "feasible"
         cost = np.zeros(self.total)
         cost[self.n + self.m :] = 1.0
-        status = self.run(cost, max_iter)
+        status = self.run(cost)
         assert status == "optimal", "phase 1 cannot be unbounded"
         art_pos = np.flatnonzero(self.basis >= self.n + self.m)
         infeas = sum(float(self.x_b[i]) for i in art_pos)
@@ -390,39 +404,40 @@ class _Simplex:
         x[self.basis] = self.x_b
         return x[: self.n]
 
+    def check(self, x: np.ndarray) -> None:
+        """Raise if x leaves its box or breaks a row beyond round-off."""
+        n = self.n
+        excess = np.concatenate(
+            [self.lower[:n] - x, x - self.upper[:n], self.a @ x - self.b]
+        )
+        worst = int(np.argmax(excess))
+        if excess[worst] <= _CHECK_TOL * self.scale:
+            return
+        if worst < n:
+            where = f"x[{worst}] below its lower bound"
+        elif worst < 2 * n:
+            where = f"x[{worst - n}] above its upper bound"
+        else:
+            where = f"row {worst - 2 * n}"
+        raise RuntimeError(
+            f"simplex reached an infeasible point: {where} by {excess[worst]:.3g}"
+        )
 
-def solve_boxed_lp(
-    lp: BoxedLinearProgram,
-    start: LPState | None = None,
-    max_iter: int | None = None,
-) -> LPResult:
+
+def solve_boxed_lp(lp: BoxedLinearProgram, start: LPState | None = None) -> LPResult:
     sx = _Simplex(lp)
-    cap = max_iter if max_iter is not None else 200 * (lp.n + lp.m) + 10_000
-
-    started = False
-    if (
-        start is not None
-        and start.basis.size == lp.m
-        and start.at_upper.size == sx.total
-    ):
-        try:
-            sx.install(start.basis, start.at_upper)
-            if not sx.feasible_now():
-                sx.repair_negative_slacks()
-            started = sx.feasible_now()
-        except np.linalg.LinAlgError:
-            started = False
-    if not started:
+    if start is None or not sx.warm_start(start):
         sx.slack_start()
         if not sx.feasible_now():
             # only artificial rows can be out of bounds at the slack start
             raise RuntimeError("slack start produced an infeasible basis")
 
-    if sx.phase_one(cap) == "infeasible":
+    if sx.phase_one() == "infeasible":
         return LPResult("infeasible", None, np.nan, sx.iterations, None)
 
-    status = sx.run(sx.c_real, cap)
-    x = sx.assemble() if status == "optimal" else None
-    obj = float(lp.c @ x) if x is not None else np.nan
+    if sx.run(sx.c_real) == "unbounded":
+        return LPResult("unbounded", None, np.nan, sx.iterations, None)
+    x = sx.assemble()
+    sx.check(x)
     state = LPState(basis=sx.basis.copy(), at_upper=sx.at_upper.copy())
-    return LPResult(status, x, obj, sx.iterations, state if status == "optimal" else None)
+    return LPResult("optimal", x, float(lp.c @ x), sx.iterations, state)

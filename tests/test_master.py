@@ -11,7 +11,9 @@ from slowreg import (
     build_quadform,
     check_feasible,
     eval_cost,
+    stepwise_fit,
 )
+from slowreg.benchmark import SynthParams, make_synthetic_dataset, solver_budget
 from slowreg.master import (
     MasterProgram,
     SolveLimits,
@@ -21,7 +23,12 @@ from slowreg.master import (
 )
 from slowreg.simplex import solve_boxed_lp
 
-from util import exhaustive_best_support, make_instance, set_feasible_reference
+from util import (
+    budget_patterns,
+    exhaustive_best_support,
+    make_instance,
+    set_feasible_reference,
+)
 
 TIGHT = SolveLimits(gap_tol=1e-9)
 
@@ -150,6 +157,17 @@ class TestSolverExactness:
             res.upper_bound, abs=1e-9
         )
 
+    @pytest.mark.parametrize(
+        "t,d,edges", [(3, 3, [(0, 1), (1, 2)]), (4, 3, [(0, 2), (1, 3), (2, 3), (0, 3)])]
+    )
+    def test_pruned_enumeration_matches_the_full_product(self, t, d, edges):
+        for k_l, k_g, k_c in [(1, 2, 1), (1, 1, 0), (2, 3, 2), (3, 3, 6)]:
+            full = [
+                bits for bits in itertools.product((0, 1), repeat=t * d)
+                if set_feasible_reference(np.array(bits), t, d, k_l, k_g, k_c, edges)
+            ]
+            assert list(budget_patterns(t, d, k_l, k_g, k_c, edges)) == full
+
     def test_objective_mapping(self):
         instance, qf, budget = small_setup(11, 2, 3, 2)
         res = solve_support_selection(qf, budget, limits=TIGHT)
@@ -225,12 +243,14 @@ class TestLimitsAndDeterminism:
         assert res.incumbent_beta is None
         assert not np.isfinite(res.upper_bound)
 
-    def test_node_budget_maps_to_time_limit_status(self):
+    def test_node_budget_reports_node_limit(self):
         _, qf, budget = small_setup(32, 1, 3, 2)
         res = solve_support_selection(
             qf, budget, limits=SolveLimits(max_nodes=1, gap_tol=1e-9)
         )
-        assert res.status in ("optimal", "time_limit")
+        assert res.status in ("optimal", "node_limit")
+        if res.status == "node_limit":
+            assert res.node_count == 1
 
     def test_determinism(self):
         _, qf, budget = small_setup(33, 2, 3, 2)
@@ -242,18 +262,6 @@ class TestLimitsAndDeterminism:
         assert a.upper_bound == b.upper_bound
         assert a.lower_bound == b.lower_bound
         assert np.array_equal(a.incumbent_z, b.incumbent_z)
-
-    def test_node_order_independence(self):
-        _, qf, budget = small_setup(34, 2, 3, 2)
-        best = solve_support_selection(qf, budget, limits=TIGHT, node_order="best_bound")
-        depth = solve_support_selection(qf, budget, limits=TIGHT, node_order="depth_first")
-        assert best.status == depth.status == "optimal"
-        assert best.upper_bound == pytest.approx(depth.upper_bound, abs=1e-9)
-
-    def test_bad_node_order(self):
-        _, qf, budget = small_setup(35)
-        with pytest.raises(ValueError):
-            solve_support_selection(qf, budget, node_order="breadth")
 
     def test_history_monotone(self):
         _, qf, budget = small_setup(36, 2, 3, 2)
@@ -397,14 +405,36 @@ class TestTermination:
         assert res.upper_bound == pytest.approx(best_cost, abs=1e-8)
 
     @pytest.mark.parametrize("budgets", [(1, 2, 1), (1, 1, 0), (2, 3, 2), (3, 3, 6)])
-    def test_node_orders_agree_exhaustively(self, budgets):
+    def test_best_bound_matches_enumeration(self, budgets):
         k_l, k_g, k_c = budgets
         instance, qf, budget = small_setup(49, k_l, k_g, k_c, t=2, d=3)
         best_cost, _ = exhaustive_best_support(instance, k_l, k_g, k_c)
-        costs = {}
-        for order in ("best_bound", "depth_first"):
-            res = solve_support_selection(qf, budget, limits=TIGHT, node_order=order)
-            assert res.status == "optimal"
-            costs[order] = res.upper_bound
-        assert costs["best_bound"] == pytest.approx(costs["depth_first"], abs=1e-10)
-        assert costs["best_bound"] == pytest.approx(best_cost, abs=1e-8)
+        res = solve_support_selection(qf, budget, limits=TIGHT)
+        assert res.status == "optimal"
+        assert res.upper_bound == pytest.approx(best_cost, abs=1e-8)
+        assert res.lower_bound <= best_cost + 1e-8
+
+
+class TestIllConditionedNodeLP:
+    def test_tiny_pivot_does_not_derail_branching(self):
+        # a node LP of this instance once pivoted on a 1e-9 entry of a column
+        # whose largest entry was 5e5; the singular basis gave an "optimal"
+        # point far outside the box and branching then failed
+        seed = 1632452358003
+        dataset = make_synthetic_dataset(
+            SynthParams(n=30, t=4, d=8, k_l=2, k_c=2, mode="temporal", seed=seed)
+        )
+        instance = dataset.with_lambdas(30 * 3.0**-6, 30 * 3.0**-2)
+        budget = solver_budget(dataset)
+        warm = stepwise_fit(instance, budget, seed=seed)
+        res = solve_support_selection(
+            build_quadform(instance), budget, warm_start=warm.z,
+            limits=SolveLimits(max_nodes=100),
+        )
+        assert res.status in ("optimal", "node_limit")
+        assert check_feasible(res.incumbent_z, budget, instance.graph)
+        best_cost, _ = exhaustive_best_support(
+            instance, budget.max_per_vertex, budget.max_global, budget.max_changes
+        )
+        assert res.lower_bound <= best_cost + 1e-8
+        assert res.upper_bound >= best_cost - 1e-8

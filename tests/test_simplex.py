@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from slowreg.simplex import (
-    BoxedLinearProgram,
-    extend_state,
-    solve_boxed_lp,
-)
+from slowreg.simplex import BoxedLinearProgram, _Simplex, solve_boxed_lp
 
 STATUS_FROM_SCIPY = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
@@ -242,8 +238,8 @@ class TestWarmStarts:
             lower=lp.lower,
             upper=lp.upper,
         )
-        start = extend_state(first.state, lp.n, lp.m, 1, violated=True)
-        warm = solve_boxed_lp(lp2, start=start)
+        # the shorter state is extended by the new row inside the solver
+        warm = solve_boxed_lp(lp2, start=first.state)
         cold = solve_boxed_lp(lp2)
         ref = reference_solve(lp2)
         assert warm.status == cold.status == STATUS_FROM_SCIPY[ref.status]
@@ -265,8 +261,7 @@ class TestWarmStarts:
             lower=lp.lower,
             upper=lp.upper,
         )
-        start = extend_state(first.state, lp.n, lp.m, 1, violated=False)
-        warm = solve_boxed_lp(lp2, start=start)
+        warm = solve_boxed_lp(lp2, start=first.state)
         assert warm.status == "optimal"
         assert warm.objective == pytest.approx(first.objective, abs=1e-8)
         # the old optimum still satisfies the new row, so no pivots needed
@@ -289,6 +284,21 @@ class TestWarmStarts:
         warm = solve_boxed_lp(lp2, start=res.state)
         assert warm.status == "optimal"
         assert warm.objective == pytest.approx(-0.5, abs=1e-12)
+
+
+class TestPointCheck:
+    @pytest.mark.parametrize(
+        "point,message",
+        [([152.3, 0.0], r"x\[0\] above its upper bound"), ([1.0, 1.0], "row 0")],
+    )
+    def test_infeasible_point_raises(self, monkeypatch, point, message):
+        lp = BoxedLinearProgram(
+            c=[-1.0, -1.0], a=[[1.0, 1.0]], b=[1.0],
+            lower=[0.0, 0.0], upper=[1.0, 1.0],
+        )
+        monkeypatch.setattr(_Simplex, "assemble", lambda self: np.array(point))
+        with pytest.raises(RuntimeError, match=message):
+            solve_boxed_lp(lp)
 
 
 class TestValidation:

@@ -104,18 +104,52 @@ def restricted_cost_reference(instance, z):
     return -0.5 * float(mu @ w)
 
 
+def budget_patterns(T, D, k_l, k_g, k_c, edges):
+    """Every T*D bit pattern that can meet the budgets, in the order of
+    itertools.product((0, 1), repeat=T*D).
+
+    Bits are set depth-first in index order, and a prefix is dropped once a
+    count it has fixed (per-vertex, union, or the changes on edges whose
+    both ends are set) passes its budget; counts only grow with more bits.
+    """
+    bits = [0] * (T * D)
+
+    def prefix_ok(i):
+        t = i // D
+        if sum(bits[t * D:i + 1]) > k_l:
+            return False
+        if len({j % D for j in range(i + 1) if bits[j]}) > k_g:
+            return False
+        changes = 0
+        for s, u in edges:
+            for f in range(D):
+                if max(s, u) * D + f <= i:
+                    changes += bits[s * D + f] != bits[u * D + f]
+        return changes <= k_c
+
+    def extend(i):
+        if i == T * D:
+            yield tuple(bits)
+            return
+        for bit in (0, 1):
+            bits[i] = bit
+            if prefix_ok(i):
+                yield from extend(i + 1)
+        bits[i] = 0
+
+    yield from extend(0)
+
+
 def exhaustive_best_support(instance, k_l, k_g, k_c):
     """Brute-force minimum of the support cost over every feasible pattern.
 
-    Only usable for tiny T*D. Returns (best_cost, list_of_optimal_patterns);
-    the cost of the empty support is 0.
+    Usable while the budget-feasible patterns are few. Returns (best_cost,
+    list_of_optimal_patterns); the cost of the empty support is 0.
     """
-    import itertools
-
     T, D = instance.vertex_count, instance.feature_count
     best = 0.0
     argbest = [np.zeros(T * D, dtype=bool)]
-    for bits in itertools.product((0, 1), repeat=T * D):
+    for bits in budget_patterns(T, D, k_l, k_g, k_c, instance.graph.edges):
         z = np.array(bits, dtype=bool)
         if not z.any():
             continue
