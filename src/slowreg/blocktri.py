@@ -10,7 +10,16 @@ the concatenated system.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+
+
+def cho_factor(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of an SPD matrix; raises LinAlgError otherwise."""
+    return np.linalg.cholesky(a)
+
+
+def cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b given the lower Cholesky factor L of A = L L'."""
+    return np.linalg.solve(factor.T, np.linalg.solve(factor, b))
 
 
 def solve_spd_block_tridiagonal(
@@ -38,7 +47,7 @@ def solve_spd_block_tridiagonal(
     def factor(mat):
         if mat.shape[0] == 0:
             return None
-        return cho_factor(mat, lower=True)
+        return cho_factor(mat)
 
     def solve(fac, b):
         if fac is None:

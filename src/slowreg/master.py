@@ -9,12 +9,14 @@ tree shares one pool. A node whose LP relaxation turns integral either adds
 a violated cut and re-solves in place or certifies an incumbent and closes.
 Nodes are explored best bound first.
 
-Only the re-solve after a cut is warm-started: the previous optimal basis is
-passed on unchanged and the simplex extends it by the new row. A child node
-starts cold. It differs from its parent by one tightened bound on the
-branched z, and that z is basic and fractional in the parent's basis, so the
-parent's basis is never primal feasible for the child; reusing it would take
-a dual simplex.
+Every LP after the root's first one is warm-started from an optimal basis.
+The re-solve after a cut passes the previous result's state, and a child
+node carries its parent's final state (the basis and the at-upper flags, not
+the basis inverse, so a waiting node costs about a kilobyte). The simplex
+extends a state by the rows appended since. A child differs from its parent
+by one tightened bound on the branched z, which is basic and fractional in
+the parent's basis, so that basis is dual but not primal feasible and a few
+dual simplex pivots take the place of a cold two-phase solve.
 
 Variable layout: eta at 0, z_{t,d} at 1 + t*D + d, s_d at 1 + T*D + d,
 w_{e,d} at 1 + T*D + D + e*D + d. All rows are <= rows.
@@ -30,7 +32,7 @@ import numpy as np
 
 from .oracle import beta_star, eval_gradient, evaluate
 from .problem import BudgetError, QuadForm, SparsityBudget, check_feasible
-from .simplex import BoxedLinearProgram, solve_boxed_lp
+from .simplex import BoxedLinearProgram, LPState, solve_boxed_lp
 
 _INT_TOL = 1e-6
 
@@ -102,6 +104,7 @@ class _Node:
     bound: float
     fix0: np.ndarray
     fix1: np.ndarray
+    state: LPState | None = None  # the parent's final LP basis
 
 
 class MasterProgram:
@@ -300,7 +303,7 @@ def solve_support_selection(
             continue
         node_count += 1
 
-        start = None
+        start = node.state
         while True:  # lazy-evaluation loop on one node
             lp = mp.node_lp(node.fix0, node.fix1)
             res = solve_boxed_lp(lp, start=start)
@@ -343,7 +346,7 @@ def solve_support_selection(
                     seq += 1
                     child = _Node(
                         seq=seq, depth=node.depth + 1, bound=res.objective,
-                        fix0=fix0, fix1=fix1,
+                        fix0=fix0, fix1=fix1, state=res.state,
                     )
                     heapq.heappush(heap, (child.bound, child.seq, child))
                 break

@@ -32,9 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .blocktri import solve_spd_block_tridiagonal
+from .blocktri import cho_factor, cho_solve, solve_spd_block_tridiagonal
 from .problem import QuadForm
 
 
@@ -111,7 +110,7 @@ def _solve_restricted(qf: QuadForm, zb: np.ndarray, method: str) -> np.ndarray:
             a[offsets[t] + rows, offsets[s] + cols] = -qf.lambda_delta
             a[offsets[s] + cols, offsets[t] + rows] = -qf.lambda_delta
         rhs = np.concatenate([mu_g[t][sel[t]] for t in range(T)])
-        x = cho_solve(cho_factor(a, lower=True), rhs)
+        x = cho_solve(cho_factor(a), rhs)
     else:
         raise ValueError(f"unknown oracle method {method!r}")
 

@@ -2,28 +2,34 @@
 
 Solves   min c'x   s.t.  A x <= b,  lower <= x <= upper
 
-by appending one slack per row and running a two-phase primal simplex with
-an explicitly maintained basis inverse (rank-one updates, periodic
-refactorization). Column numbering: structural 0..n-1, slacks n..n+m-1,
-artificials n+m..n+2m-1 (artificial i carries column -e_i so it starts
-basic and positive on a violated row). This numbering stays private to this
-module.
+by appending one slack per row and keeping an explicit basis inverse
+(rank-one updates, periodic refactorization). Column numbering: structural
+0..n-1, slacks n..n+m-1, artificials n+m..n+2m-1 (artificial i carries column
+-e_i so it starts basic and positive on a violated row). This numbering stays
+private to this module.
 
-Pivot selection is Dantzig's rule with ties broken toward the lowest column
-index, switching to Bland's rule once the degenerate-step count passes
-10x the column count. All tie-breaks are index-ordered, so repeated solves
-of the same data are bit-identical. The ratio test only pivots on entries
-that are large relative to the entering column, so a near-singular basis
-cannot be formed, and a point that ends up outside its box or rows raises
-instead of coming back "optimal".
+There are two ways in. A cold solve starts from the slack basis, with an
+artificial on every row the lower-bound point violates, and runs a two-phase
+primal simplex. A warm solve installs a previous solve's LPState, extended by
+any rows appended since (each enters with its slack basic; the artificials
+stay locked at zero). If that basis is primal feasible, primal phase 2 runs
+from it. If it is not but its reduced costs are still dual feasible, which
+holds after a tightened bound (a child node) or an appended row (a new cut),
+a bounded dual simplex restores primal feasibility first: the basic variable
+furthest outside its bounds leaves, and a dual ratio test picks the column
+that enters, so a violated cut row is just one more infeasible basic slack.
+No eligible column means the program is infeasible. A basis that is neither
+primal nor dual feasible is dropped for the slack start. `LPResult.warm`
+says which way a solve went.
 
-A previous solve's LPState can seed a re-solve of the same program with
-rows appended, which is how the branch-and-bound re-solves after a new cut.
-`solve_boxed_lp` extends a shorter state itself: each appended row enters
-with its slack basic, and a row the old point violates swaps that slack for
-its artificial, so phase 1 only has to drive that column out. A state whose
-basic values break the (possibly tightened) box is not used; the solve then
-starts from the slack basis.
+Primal pricing is Dantzig's rule with ties broken toward the lowest column
+index, switching to Bland's rule once the degenerate-step count passes 10x
+the column count; the dual ratio test also breaks ties toward the lowest
+index. All tie-breaks are index-ordered, so repeated solves of the same data
+are bit-identical. Both ratio tests only pivot on entries that are large
+relative to the rest of their column or row, so a near-singular basis cannot
+be formed, and a point that ends up outside its box or rows raises instead
+of coming back "optimal".
 """
 
 from __future__ import annotations
@@ -86,6 +92,7 @@ class LPResult:
     objective: float
     iterations: int
     state: LPState | None
+    warm: bool            # the given start was used, not the slack basis
 
 
 def slack_index(n: int, row: int) -> int:
@@ -105,8 +112,9 @@ class _Simplex:
         self.lower = np.concatenate(
             [lp.lower, np.zeros(self.m), np.zeros(self.m)]
         )
+        # artificials stay locked at zero unless the slack start opens them
         self.upper = np.concatenate(
-            [lp.upper, np.full(self.m, np.inf), np.full(self.m, np.inf)]
+            [lp.upper, np.full(self.m, np.inf), np.zeros(self.m)]
         )
         self.c_real = np.concatenate([lp.c, np.zeros(2 * self.m)])
         self.total = total
@@ -143,9 +151,14 @@ class _Simplex:
         return col
 
     def basis_matrix(self) -> np.ndarray:
-        bm = np.empty((self.m, self.m))
-        for i, j in enumerate(self.basis):
-            bm[:, i] = self.column(int(j))
+        n, m = self.n, self.m
+        bm = np.zeros((m, m))
+        struct = self.basis < n
+        bm[:, struct] = self.a[:, self.basis[struct]]
+        pos = np.flatnonzero(~struct)
+        j = self.basis[pos]
+        slack = j < n + m
+        bm[np.where(slack, j - n, j - n - m), pos] = np.where(slack, 1.0, -1.0)
         return bm
 
     # -- state assembly ---------------------------------------------------
@@ -178,6 +191,7 @@ class _Simplex:
 
     def slack_start(self) -> None:
         n, m = self.n, self.m
+        self.upper[n + m :] = np.inf
         self.at_upper = np.zeros(self.total, dtype=bool)
         vals_struct = self.lower[:n]
         r = self.b - self.a @ vals_struct
@@ -193,11 +207,11 @@ class _Simplex:
         self.x_b = r * sign
 
     def warm_start(self, state: LPState) -> bool:
-        """Install a previous solve's basis; report whether it is feasible.
+        """Install a previous solve's basis; report whether it can be used.
 
         Rows appended since that solve enter with their slack basic, and the
-        artificial indices of the old rows shift past them. A violated new
-        row is then repaired like any other negative slack.
+        artificial indices of the old rows shift past them. The basis is
+        usable if it is primal feasible, or dual feasible for the dual phase.
         """
         old_m = state.basis.size
         added = self.m - old_m
@@ -209,13 +223,12 @@ class _Simplex:
         basis = np.concatenate([basis, new_slacks])
         at_upper = np.zeros(self.total, dtype=bool)
         at_upper[: self.n + old_m] = state.at_upper[: self.n + old_m]
+        at_upper &= np.isfinite(self.upper)
         try:
             self.install(basis, at_upper)
         except np.linalg.LinAlgError:
             return False
-        if not self.feasible_now():
-            self.repair_negative_slacks()
-        return self.feasible_now()
+        return self.feasible_now() or self.dual_feasible()
 
     def feasible_now(self) -> bool:
         lb = self.lower[self.basis]
@@ -225,28 +238,13 @@ class _Simplex:
             and np.all(self.x_b <= ub + self.feas_tol)
         )
 
-    def repair_negative_slacks(self) -> None:
-        """Swap basic slacks with negative values for their row's artificial.
+    def movable(self) -> np.ndarray:
+        return (~self.in_basis) & (self.upper > self.lower) & ~self.never_enter
 
-        Negating one basis column negates the matching row of the inverse and
-        the matching basic value, which turns a violated row into a positive
-        artificial that phase 1 can then remove.
-        """
-        for pos in range(self.m):
-            j = int(self.basis[pos])
-            if not (self.n <= j < self.n + self.m):
-                continue
-            if self.x_b[pos] >= -self.feas_tol:
-                continue
-            art = artificial_index(self.n, self.m, j - self.n)
-            if self.in_basis[art]:
-                continue
-            self.basis[pos] = art
-            self.in_basis[j] = False
-            self.at_upper[j] = False
-            self.in_basis[art] = True
-            self.binv[pos] *= -1.0
-            self.x_b[pos] *= -1.0
+    def dual_feasible(self) -> bool:
+        d = self.reduced_costs(self.c_real)
+        viol = np.where(self.at_upper, d, -d)
+        return not np.any(self.movable() & (viol > _DUAL_TOL))
 
     # -- core loop --------------------------------------------------------
 
@@ -266,8 +264,7 @@ class _Simplex:
                 raise RuntimeError("simplex iteration limit exceeded")
             d = self.reduced_costs(cost)
             viol = np.where(self.at_upper, d, -d)
-            movable = (~self.in_basis) & (self.upper > self.lower) & ~self.never_enter
-            candidates = movable & (viol > _DUAL_TOL)
+            candidates = self.movable() & (viol > _DUAL_TOL)
             if not np.any(candidates):
                 return "optimal"
             if bland:
@@ -326,22 +323,83 @@ class _Simplex:
             self.x_b = self.x_b - theta * move
             self.x_b[leave_pos] = enter_val
             # leaving variable lands on the bound that blocked
-            self.at_upper[leave] = move[leave_pos] < 0
-            self.in_basis[leave] = False
-            self.in_basis[enter] = True
-            self.at_upper[enter] = False
-            self.basis[leave_pos] = enter
+            self.pivot(leave_pos, enter, alpha, bool(move[leave_pos] < 0))
             if leave >= self.n + self.m:
                 # artificials never come back
                 self.lower[leave] = 0.0
                 self.upper[leave] = 0.0
                 self.at_upper[leave] = False
 
-            piv = alpha[leave_pos]
-            row = self.binv[leave_pos] / piv
-            alpha = alpha.copy()
-            alpha[leave_pos] = piv - 1.0
-            self.binv -= np.outer(alpha, row)
+            since_refactor += 1
+            if since_refactor >= _REFACTOR_EVERY:
+                self.refactor()
+                since_refactor = 0
+
+    def pivot(self, pos: int, enter: int, alpha: np.ndarray, leave_at_upper: bool):
+        """Swap column `enter` (alpha = binv @ its column) into basis slot `pos`.
+
+        Basic values are the caller's to update.
+        """
+        leave = int(self.basis[pos])
+        self.at_upper[leave] = leave_at_upper
+        self.in_basis[leave] = False
+        self.in_basis[enter] = True
+        self.at_upper[enter] = False
+        self.basis[pos] = enter
+        piv = alpha[pos]
+        row = self.binv[pos] / piv
+        alpha = alpha.copy()
+        alpha[pos] = piv - 1.0
+        self.binv -= np.outer(alpha, row)
+
+    def dual_phase(self) -> str:
+        """Bounded dual simplex from a dual feasible basis to a primal feasible one.
+
+        Each step lets the basic variable furthest outside its bounds leave
+        at the bound it violates; the entering column is the one whose
+        reduced cost reaches zero first as that row's dual moves, so the
+        reduced costs stay dual feasible.
+        """
+        since_refactor = 0
+        while True:
+            lb = self.lower[self.basis]
+            ub = self.upper[self.basis]
+            below = lb - self.x_b
+            above = self.x_b - ub
+            excess = np.maximum(below, above)
+            r = int(np.argmax(excess))
+            if excess[r] <= self.feas_tol:
+                return "feasible"
+            if self.iterations >= self.max_iter:
+                raise RuntimeError("simplex iteration limit exceeded")
+            self.iterations += 1
+            # the leaving variable must rise (sign 1) or fall (sign -1)
+            sign = 1.0 if below[r] > 0.0 else -1.0
+            y = self.binv[r]
+            alpha_r = np.concatenate([y @ self.a, y, -y])
+            delta = np.where(self.at_upper, -1.0, 1.0)
+            movable = self.movable()
+            # rate at which x_b[r] moves toward its violated bound per unit step
+            rate = -sign * delta * alpha_r
+            row_max = float(np.max(np.abs(alpha_r[movable]), initial=0.0))
+            eligible = movable & (rate > _PIVOT_TOL * max(1.0, row_max))
+            if not np.any(eligible):
+                return "infeasible"
+            # d * delta >= 0 on a dual feasible basis, up to round-off
+            slack_d = np.maximum(self.reduced_costs(self.c_real) * delta, 0.0)
+            ratio = np.full(self.total, np.inf)
+            ratio[eligible] = slack_d[eligible] / rate[eligible]
+            enter = int(np.argmin(ratio))  # ties go to the lowest index
+
+            alpha = self.binv @ self.column(enter)
+            # signed move of the entering variable that puts x_b[r] on its bound
+            step = (self.x_b[r] - (lb[r] if sign > 0 else ub[r])) / alpha[r]
+            bound = self.upper if self.at_upper[enter] else self.lower
+            enter_val = bound[enter] + step
+            self.x_b = self.x_b - step * alpha
+            self.x_b[r] = enter_val
+            # the leaving variable lands on the bound it violated
+            self.pivot(r, enter, alpha, leave_at_upper=sign < 0)
 
             since_refactor += 1
             if since_refactor >= _REFACTOR_EVERY:
@@ -385,18 +443,7 @@ class _Simplex:
         return "feasible"
 
     def _replace_basic(self, pos: int, j: int) -> None:
-        alpha = self.binv @ self.column(j)
-        piv = alpha[pos]
-        leave = int(self.basis[pos])
-        self.in_basis[leave] = False
-        self.at_upper[leave] = False
-        self.in_basis[j] = True
-        self.at_upper[j] = False
-        self.basis[pos] = j
-        row = self.binv[pos] / piv
-        alpha = alpha.copy()
-        alpha[pos] = piv - 1.0
-        self.binv -= np.outer(alpha, row)
+        self.pivot(pos, j, self.binv @ self.column(j), False)
         self.x_b = self.compute_x_b()
 
     def assemble(self) -> np.ndarray:
@@ -426,18 +473,21 @@ class _Simplex:
 
 def solve_boxed_lp(lp: BoxedLinearProgram, start: LPState | None = None) -> LPResult:
     sx = _Simplex(lp)
-    if start is None or not sx.warm_start(start):
+    warm = start is not None and sx.warm_start(start)
+    if warm:
+        status = sx.dual_phase()
+    else:
         sx.slack_start()
         if not sx.feasible_now():
             # only artificial rows can be out of bounds at the slack start
             raise RuntimeError("slack start produced an infeasible basis")
-
-    if sx.phase_one() == "infeasible":
-        return LPResult("infeasible", None, np.nan, sx.iterations, None)
+        status = sx.phase_one()
+    if status == "infeasible":
+        return LPResult("infeasible", None, np.nan, sx.iterations, None, warm)
 
     if sx.run(sx.c_real) == "unbounded":
-        return LPResult("unbounded", None, np.nan, sx.iterations, None)
+        return LPResult("unbounded", None, np.nan, sx.iterations, None, warm)
     x = sx.assemble()
     sx.check(x)
     state = LPState(basis=sx.basis.copy(), at_upper=sx.at_upper.copy())
-    return LPResult("optimal", x, float(lp.c @ x), sx.iterations, state)
+    return LPResult("optimal", x, float(lp.c @ x), sx.iterations, state, warm)

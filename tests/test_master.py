@@ -13,6 +13,7 @@ from slowreg import (
     eval_cost,
     stepwise_fit,
 )
+from slowreg import master
 from slowreg.benchmark import SynthParams, make_synthetic_dataset, solver_budget
 from slowreg.master import (
     MasterProgram,
@@ -415,20 +416,50 @@ class TestTermination:
         assert res.lower_bound <= best_cost + 1e-8
 
 
+def weak_chain_setup(seed):
+    """Chain T=4, D=8 at weak weights: the bound stays loose for 100 nodes."""
+    dataset = make_synthetic_dataset(
+        SynthParams(n=30, t=4, d=8, k_l=2, k_c=2, mode="temporal", seed=seed)
+    )
+    instance = dataset.with_lambdas(30 * 3.0**-6, 30 * 3.0**-2)
+    budget = solver_budget(dataset)
+    warm = stepwise_fit(instance, budget, seed=seed)
+    return instance, budget, warm.z
+
+
+class TestWarmNodeLPs:
+    @pytest.mark.parametrize("seed", [0, 1632452358003])
+    def test_every_offered_start_is_used(self, seed, monkeypatch):
+        # child nodes start from the parent's basis and cut re-solves from
+        # the previous one; the dual phase must accept every such start
+        calls = []
+
+        def recording(lp, start=None):
+            res = solve_boxed_lp(lp, start=start)
+            calls.append((start is not None, res.warm))
+            return res
+
+        monkeypatch.setattr(master, "solve_boxed_lp", recording)
+        instance, budget, warm_z = weak_chain_setup(seed)
+        res = solve_support_selection(
+            build_quadform(instance), budget, warm_start=warm_z,
+            limits=SolveLimits(max_nodes=100),
+        )
+        assert res.node_count == 100
+        assert calls[0] == (False, False)  # the root starts cold
+        assert len(calls) > res.node_count
+        assert all(warm for offered, warm in calls[1:] if offered)
+        assert all(offered for offered, _ in calls[1:])
+
+
 class TestIllConditionedNodeLP:
     def test_tiny_pivot_does_not_derail_branching(self):
         # a node LP of this instance once pivoted on a 1e-9 entry of a column
         # whose largest entry was 5e5; the singular basis gave an "optimal"
         # point far outside the box and branching then failed
-        seed = 1632452358003
-        dataset = make_synthetic_dataset(
-            SynthParams(n=30, t=4, d=8, k_l=2, k_c=2, mode="temporal", seed=seed)
-        )
-        instance = dataset.with_lambdas(30 * 3.0**-6, 30 * 3.0**-2)
-        budget = solver_budget(dataset)
-        warm = stepwise_fit(instance, budget, seed=seed)
+        instance, budget, warm_z = weak_chain_setup(1632452358003)
         res = solve_support_selection(
-            build_quadform(instance), budget, warm_start=warm.z,
+            build_quadform(instance), budget, warm_start=warm_z,
             limits=SolveLimits(max_nodes=100),
         )
         assert res.status in ("optimal", "node_limit")

@@ -238,9 +238,11 @@ class TestWarmStarts:
             lower=lp.lower,
             upper=lp.upper,
         )
-        # the shorter state is extended by the new row inside the solver
+        # the shorter state is extended by the new row inside the solver, and
+        # the dual phase pivots its violated slack out
         warm = solve_boxed_lp(lp2, start=first.state)
         cold = solve_boxed_lp(lp2)
+        assert warm.warm
         ref = reference_solve(lp2)
         assert warm.status == cold.status == STATUS_FROM_SCIPY[ref.status]
         if warm.status == "optimal":
@@ -262,12 +264,13 @@ class TestWarmStarts:
             upper=lp.upper,
         )
         warm = solve_boxed_lp(lp2, start=first.state)
+        assert warm.warm
         assert warm.status == "optimal"
         assert warm.objective == pytest.approx(first.objective, abs=1e-8)
         # the old optimum still satisfies the new row, so no pivots needed
         assert warm.iterations == 0
 
-    def test_stale_state_falls_back(self):
+    def test_out_of_box_basis_is_repaired_warm(self):
         lp = BoxedLinearProgram(
             c=[-1.0, -1.0],
             a=[[1.0, 1.0]],
@@ -277,13 +280,110 @@ class TestWarmStarts:
         )
         res = solve_boxed_lp(lp)
         assert res.status == "optimal"
-        # shrink the box so the stored basis is no longer within bounds
+        # shrink the box so the stored basis is no longer within bounds; its
+        # reduced costs are unchanged, so the dual phase takes it from there
         lp2 = BoxedLinearProgram(
             c=lp.c, a=lp.a, b=lp.b, lower=[0.0, 0.0], upper=[0.25, 0.25]
         )
         warm = solve_boxed_lp(lp2, start=res.state)
+        assert warm.warm
         assert warm.status == "optimal"
         assert warm.objective == pytest.approx(-0.5, abs=1e-12)
+
+
+def branched(lp, x, j, side):
+    """lp with x_j bounded to its floor (side 0) or ceiling (side 1), as branching does."""
+    lower, upper = lp.lower.copy(), lp.upper.copy()
+    if side == 0:
+        upper[j] = max(np.floor(x[j]), lower[j])
+    else:
+        lower[j] = min(np.ceil(x[j]), upper[j])
+    return BoxedLinearProgram(c=lp.c, a=lp.a, b=lp.b, lower=lower, upper=upper)
+
+
+def branch_children(seed):
+    """(parent result, child program) for every basic fractional variable of a draw."""
+    lp = random_lp(np.random.default_rng(seed), force_feasible=True)
+    first = solve_boxed_lp(lp)
+    if first.status != "optimal":
+        return []
+    frac = [
+        int(j) for j in first.state.basis
+        if j < lp.n and abs(first.x[j] - np.round(first.x[j])) > 1e-6
+    ]
+    return [(first, branched(lp, first.x, j, side)) for j in frac for side in (0, 1)]
+
+
+class TestDualWarmStart:
+    @pytest.mark.parametrize("seed", range(400, 430))
+    def test_branched_child_matches_reference(self, seed):
+        for first, child in branch_children(seed):
+            warm = solve_boxed_lp(child, start=first.state)
+            cold = solve_boxed_lp(child)
+            ref = reference_solve(child)
+            assert warm.warm and not cold.warm
+            assert warm.status == cold.status == STATUS_FROM_SCIPY[ref.status]
+            if warm.status == "optimal":
+                assert_feasible(child, warm.x)
+                assert warm.objective == pytest.approx(ref.fun, abs=1e-7)
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            else:
+                assert warm.x is None and warm.state is None
+
+    def test_draws_cover_feasible_and_infeasible_children(self):
+        statuses = [
+            solve_boxed_lp(child, start=first.state).status
+            for seed in range(400, 430)
+            for first, child in branch_children(seed)
+        ]
+        assert statuses.count("optimal") >= 20
+        assert statuses.count("infeasible") >= 5
+
+    def test_infeasible_branch(self):
+        # x0 + x1 >= 1.5 in the unit box; x1 <= 0 leaves no room for x0
+        lp = BoxedLinearProgram(
+            c=[1.0, 1.0], a=[[-1.0, -1.0]], b=[-1.5],
+            lower=[0.0, 0.0], upper=[1.0, 1.0],
+        )
+        first = solve_boxed_lp(lp)
+        assert first.status == "optimal"
+        j = int(np.argmax(np.abs(first.x - np.round(first.x))))
+        assert first.x[j] == pytest.approx(0.5)
+        child = branched(lp, first.x, j, side=0)
+        res = solve_boxed_lp(child, start=first.state)
+        assert res.warm
+        assert res.status == "infeasible"
+        assert res.x is None
+
+    def test_unusable_start_falls_back_to_slack_basis(self):
+        # a basis that is neither primal nor dual feasible for the new costs
+        lp = BoxedLinearProgram(
+            c=[-1.0, -1.0], a=[[1.0, 1.0]], b=[1.0],
+            lower=[0.0, 0.0], upper=[1.0, 1.0],
+        )
+        first = solve_boxed_lp(lp)
+        lp2 = BoxedLinearProgram(
+            c=[1.0, 1.0], a=lp.a, b=lp.b, lower=[0.0, 0.0], upper=[0.25, 0.25]
+        )
+        res = solve_boxed_lp(lp2, start=first.state)
+        assert not res.warm
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(0.0, abs=1e-12)
+
+
+class TestBasisMatrix:
+    def test_matches_column_by_column_assembly(self):
+        rng = np.random.default_rng(11)
+        n, m = 5, 6
+        lp = BoxedLinearProgram(
+            c=rng.normal(size=n), a=rng.normal(size=(m, n)), b=rng.normal(size=m),
+            lower=np.zeros(n), upper=np.ones(n),
+        )
+        sx = _Simplex(lp)
+        # structural, slack and artificial columns in a shuffled order
+        sx.basis = np.array([3, n + 1, n + m + 2, 0, n + 5, n + m + 4])
+        reference = np.column_stack([sx.column(int(j)) for j in sx.basis])
+        assert np.array_equal(sx.basis_matrix(), reference)
 
 
 class TestPointCheck:
