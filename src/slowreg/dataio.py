@@ -3,14 +3,19 @@
 The observation file is a CSV with header `vertex,y,x0,...,x{D-1}`, one row
 per observation, vertices numbered from 0. Per-vertex row counts may differ.
 Floats are written with `repr`, which round-trips exactly, so a dataset
-survives dump/load bit-for-bit. The graph file holds one `s t` edge per
-line (0-based); the metadata sidecar holds `key=value` lines.
+survives dump/load bit-for-bit. The reader streams the rows from the open
+file into one float array rather than through Python lists, so reading a
+file costs about one copy of its numbers in memory on top of the blocks.
+The graph file holds one `s t` edge per line (0-based); the metadata
+sidecar holds `key=value` lines.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -40,7 +45,11 @@ def read_data_csv(path):
     """Parse the observation CSV back into per-vertex (x, y) blocks.
 
     Vertices must cover 0..T-1 with at least one row each; row order within
-    a vertex follows file order.
+    a vertex follows file order. After the header, the body streams from the
+    open file into one float array (`np.loadtxt`), and a stable sort by
+    vertex id splits it into blocks. Any row that does not parse cleanly
+    sends the reader back over the file line by line to name the first bad
+    line.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -57,7 +66,46 @@ def read_data_csv(path):
         want = [f"x{j}" for j in range(d)]
         if header[2:] != want:
             raise ValueError(f"{path}: feature columns must be x0..x{d - 1} in order")
-        rows_by_vertex: dict[int, list] = {}
+        try:
+            with warnings.catch_warnings():
+                # a header without rows is reported below, not warned about
+                warnings.simplefilter("ignore", UserWarning)
+                body = np.loadtxt(
+                    fh, delimiter=",", dtype=np.float64, ndmin=2, comments=None
+                )
+        except ValueError as exc:
+            _raise_first_bad_row(path, d, str(exc))
+    if body.shape[0] == 0:
+        raise ValueError(f"{path}: no data rows")
+    vertex = body[:, 0]
+    if body.shape[1] != d + 2 or not np.all(
+        np.isfinite(vertex) & (vertex >= 0.0) & (vertex == np.floor(vertex))
+    ):
+        _raise_first_bad_row(
+            path, d, f"need {d + 2} fields and a nonnegative integer vertex id"
+        )
+    t = int(vertex.max()) + 1
+    present = np.unique(vertex)
+    if present.size < t:
+        missing = np.setdiff1d(np.arange(min(t, present.size + 10)), present)[:10]
+        extra = t - present.size - missing.size
+        more = f" and {extra} more" if extra else ""
+        raise ValueError(f"{path}: vertices {missing.tolist()}{more} have no rows")
+    ids = vertex.astype(np.int64)
+    counts = np.bincount(ids)
+    order = np.argsort(ids, kind="stable")
+    x_blocks, y_blocks = [], []
+    for rows in np.split(order, np.cumsum(counts)[:-1]):
+        y_blocks.append(body[rows, 1])
+        x_blocks.append(body[rows, 2:])
+    return x_blocks, y_blocks
+
+
+def _raise_first_bad_row(path: Path, d: int, reason: str) -> NoReturn:
+    """Re-read the rows one by one and raise for the first bad one."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -67,24 +115,13 @@ def read_data_csv(path):
                 )
             try:
                 v = int(row[0])
-                vals = [float(c) for c in row[1:]]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+                for c in row[1:]:
+                    float(c)
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from None
             if v < 0:
                 raise ValueError(f"{path}:{lineno}: negative vertex id {v}")
-            rows_by_vertex.setdefault(v, []).append(vals)
-    if not rows_by_vertex:
-        raise ValueError(f"{path}: no data rows")
-    t = max(rows_by_vertex) + 1
-    missing = [v for v in range(t) if v not in rows_by_vertex]
-    if missing:
-        raise ValueError(f"{path}: vertices {missing} have no rows")
-    x_blocks, y_blocks = [], []
-    for v in range(t):
-        block = np.asarray(rows_by_vertex[v], dtype=np.float64)
-        y_blocks.append(block[:, 0].copy())
-        x_blocks.append(block[:, 1:].copy())
-    return x_blocks, y_blocks
+    raise ValueError(f"{path}: unreadable data rows: {reason}")
 
 
 def write_edge_list(path, graph: SimilarityGraph) -> None:

@@ -66,8 +66,8 @@ def _selected(qf: QuadForm, zb: np.ndarray) -> list[np.ndarray]:
 
 
 def _diag_block(qf: QuadForm, t: int, sel: np.ndarray) -> np.ndarray:
-    block = qf.gram[t][np.ix_(sel, sel)].copy()
-    block[np.diag_indices_from(block)] += qf.lambda_beta
+    block = qf.gram[t][np.ix_(sel, sel)]
+    block.flat[::sel.size + 1] += qf.lambda_beta
     return block
 
 
@@ -176,7 +176,7 @@ def eval_cost_fractional(qf: QuadForm, z: np.ndarray) -> float:
         raise ValueError("fractional support entries must lie in [0, 1]")
     m = dense_coupled_matrix(qf)
     a = zf[:, None] * m
-    a[np.diag_indices_from(a)] += qf.lambda_beta
+    a.flat[::n + 1] += qf.lambda_beta
     x = np.linalg.solve(a, zf * qf.mu)
     return -0.5 * float(qf.mu @ x)
 

@@ -8,6 +8,11 @@ loses it may copy one feature from a random neighbor to stay aligned.
 Each pass shrinks the union by one, so the loop is bounded by the initial
 union size. The result always satisfies all three budgets, which makes it a
 safe warm start and incumbent for the exact solver.
+
+The removal loop works on whole (T, D) arrays: the support as a boolean
+matrix, the coefficients, and a cache of X_t'r_t per vertex. Only the
+vertices refit in a pass get their cache row recomputed; the budget checks
+and the removal scores are array reductions over vertices and edges.
 """
 
 from __future__ import annotations
@@ -44,15 +49,16 @@ def sparse_ridge_greedy(
     mask = np.zeros(d, dtype=bool)
     mask[allowed] = True
     col_norm2 = np.einsum("ij,ij->j", x, x)
+    safe = np.where(col_norm2 > 0.0, col_norm2, 1.0)
+    excluded = ~mask | (col_norm2 == 0.0)
     selected: list[int] = []
     beta = np.zeros(d)
     residual = y.copy()
     for _ in range(min(int(k), allowed.size)):
         scores = x.T @ residual
         np.square(scores, out=scores)
-        safe = np.where(col_norm2 > 0.0, col_norm2, 1.0)
         scores /= safe
-        scores[~mask | (col_norm2 == 0.0)] = -np.inf
+        scores[excluded] = -np.inf
         scores[selected] = -np.inf
         best = int(np.argmax(scores))
         if scores[best] <= 0.0:
@@ -63,13 +69,16 @@ def sparse_ridge_greedy(
     return np.array(sorted(selected), dtype=np.int64), beta
 
 
-def _ridge_refit(x: np.ndarray, y: np.ndarray, support: list[int], lam: float) -> np.ndarray:
+def _ridge_refit(
+    x: np.ndarray, y: np.ndarray, support: list[int] | np.ndarray, lam: float
+) -> np.ndarray:
     beta = np.zeros(x.shape[1])
-    if not support:
+    k = len(support)
+    if not k:
         return beta
     xs = x[:, support]
     gram = xs.T @ xs
-    gram[np.diag_indices_from(gram)] += lam
+    gram.flat[::k + 1] += lam
     beta[support] = np.linalg.solve(gram, xs.T @ y)
     return beta
 
@@ -90,58 +99,62 @@ def stepwise_fit(
     qf: QuadForm | None = None,
 ) -> StepwiseResult:
     """Feasibility-guaranteed heuristic support for the coupled problem."""
-    graph = instance.graph
     t_count = instance.vertex_count
     d_count = instance.feature_count
     budget.validate(t_count, d_count)
     rng = np.random.default_rng(seed)
     if qf is None:
         qf = build_quadform(instance)
+    x_blocks, y_blocks = instance.x_blocks, instance.y_blocks
+    lam = instance.lambda_beta
 
     coeffs = np.zeros((t_count, d_count))
-    residuals = []
+    colr = np.empty((t_count, d_count))       # X_t' r_t, one row per vertex
     col_norm2 = np.empty((t_count, d_count))
     for t in range(t_count):
-        x_t, y_t = instance.x_blocks[t], instance.y_blocks[t]
-        _, beta_t = sparse_ridge_greedy(
-            x_t, y_t, budget.max_per_vertex, instance.lambda_beta
-        )
+        x_t, y_t = x_blocks[t], y_blocks[t]
+        _, beta_t = sparse_ridge_greedy(x_t, y_t, budget.max_per_vertex, lam)
         coeffs[t] = beta_t
-        residuals.append(y_t - x_t @ beta_t)
+        colr[t] = x_t.T @ (y_t - x_t @ beta_t)
         col_norm2[t] = np.einsum("ij,ij->j", x_t, x_t)
 
-    supports = [set(np.flatnonzero(coeffs[t]).tolist()) for t in range(t_count)]
-    initial_union = len(set().union(*supports))
-    removal_iterations = 0
+    zg = coeffs != 0.0
+    edges = np.array(instance.graph.edges, dtype=np.int64).reshape(-1, 2)
+    src, dst = edges[:, 0], edges[:, 1]
+    neighbors: list[list[int]] = [[] for _ in range(t_count)]
+    for s, t in instance.graph.edges:
+        neighbors[s].append(t)
+        neighbors[t].append(s)
+    for nbrs in neighbors:
+        nbrs.sort()
 
-    while _over_budget(supports, graph, budget):
+    initial_union = int(zg.any(axis=0).sum())
+    removal_iterations = 0
+    while (
+        zg.any(axis=0).sum() > budget.max_global
+        or (zg[src] ^ zg[dst]).sum() > budget.max_changes
+    ):
         if removal_iterations > initial_union:
             raise RuntimeError("removal loop failed to shrink the union support")
-        j_star = _weakest_feature(instance, coeffs, residuals, col_norm2, supports)
-        for t in range(t_count):
-            if j_star not in supports[t]:
-                continue
-            new_support = supports[t] - {j_star}
-            neighbors = graph.neighbors(t)
-            if neighbors:
-                s = int(neighbors[int(rng.integers(len(neighbors)))])
-                candidates = sorted(supports[s] - supports[t] - {j_star})
-                if candidates:
-                    j_new = int(candidates[int(rng.integers(len(candidates)))])
-                    new_support = new_support | {j_new}
-            x_t = instance.x_blocks[t]
-            beta_t = _ridge_refit(
-                x_t, instance.y_blocks[t], sorted(new_support), instance.lambda_beta
-            )
+        j_star = _weakest_feature(instance, coeffs, colr, col_norm2, zg, src, dst)
+        for t in np.flatnonzero(zg[:, j_star]).tolist():
+            row = zg[t].copy()
+            row[j_star] = False
+            nbrs = neighbors[t]
+            if nbrs:
+                s = nbrs[int(rng.integers(len(nbrs)))]
+                # zg[t] holds j_star, so it is never a candidate
+                candidates = np.flatnonzero(zg[s] & ~zg[t])
+                if candidates.size:
+                    row[candidates[int(rng.integers(candidates.size))]] = True
+            x_t, y_t = x_blocks[t], y_blocks[t]
+            beta_t = _ridge_refit(x_t, y_t, np.flatnonzero(row), lam)
             coeffs[t] = beta_t
-            residuals[t] = instance.y_blocks[t] - x_t @ beta_t
-            supports[t] = set(np.flatnonzero(beta_t).tolist())
+            colr[t] = x_t.T @ (y_t - x_t @ beta_t)
+            zg[t] = beta_t != 0.0
         removal_iterations += 1
 
-    z = np.zeros(t_count * d_count, dtype=bool)
-    for t in range(t_count):
-        for j in supports[t]:
-            z[t * d_count + j] = True
+    z = zg.ravel()
     beta = beta_star(qf, z)
     return StepwiseResult(
         z=z,
@@ -152,35 +165,20 @@ def stepwise_fit(
     )
 
 
-def _over_budget(supports, graph, budget) -> bool:
-    union = set().union(*supports) if supports else set()
-    if len(union) > budget.max_global:
-        return True
-    changes = sum(
-        len(supports[s] ^ supports[t]) for s, t in graph.edges
-    )
-    return changes > budget.max_changes
-
-
-def _weakest_feature(instance, coeffs, residuals, col_norm2, supports) -> int:
+def _weakest_feature(instance, coeffs, colr, col_norm2, zg, src, dst) -> int:
     """Feature whose removal from every vertex raises the objective least.
 
     The score is the exact change of the full objective when column j is
     zeroed everywhere with no refit: the data term grows by
     2 b_tj x_j'r_t + b_tj^2 |x_j|^2 per vertex while both penalty terms
-    release their j contributions.
+    release their j contributions. Both sums run over axis 0, so vertices
+    and edges are added one at a time in index order (at D = 1 numpy sums
+    pairwise instead, but then there is only one candidate).
     """
-    t_count, d_count = coeffs.shape
-    data = np.zeros(d_count)
-    for t in range(t_count):
-        colr = instance.x_blocks[t].T @ residuals[t]
-        data += 2.0 * coeffs[t] * colr + coeffs[t] ** 2 * col_norm2[t]
+    data = (2.0 * coeffs * colr + coeffs**2 * col_norm2).sum(axis=0)
     ridge = instance.lambda_beta * np.sum(coeffs**2, axis=0)
-    smooth = np.zeros(d_count)
-    for s, t in instance.graph.edges:
-        smooth += (coeffs[t] - coeffs[s]) ** 2
+    smooth = ((coeffs[dst] - coeffs[src]) ** 2).sum(axis=0)
     smooth *= instance.lambda_delta
     delta = data - ridge - smooth
-    union = sorted(set().union(*supports))
-    candidates = np.array(union, dtype=np.int64)
+    candidates = np.flatnonzero(zg.any(axis=0))
     return int(candidates[int(np.argmin(delta[candidates]))])

@@ -96,6 +96,79 @@ class TestDataCsv:
         with pytest.raises(ValueError, match="no data rows"):
             read_data_csv(path)
 
+    def test_interleaved_vertices_keep_file_order(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text(
+            "vertex,y,x0,x1\n"
+            "1,10.0,1.0,2.0\n"
+            "0,20.0,3.0,4.0\n"
+            "1,30.0,5.0,6.0\n"
+            "2,40.0,7.0,8.0\n"
+            "0,50.0,9.0,0.5\n"
+            "1,60.0,0.25,0.125\n"
+        )
+        xs, ys = read_data_csv(path)
+        assert [y.tolist() for y in ys] == [[20.0, 50.0], [10.0, 30.0, 60.0], [40.0]]
+        np.testing.assert_array_equal(xs[0], [[3.0, 4.0], [9.0, 0.5]])
+        np.testing.assert_array_equal(xs[1], [[1.0, 2.0], [5.0, 6.0], [0.25, 0.125]])
+        np.testing.assert_array_equal(xs[2], [[7.0, 8.0]])
+        assert all(x.flags.c_contiguous for x in xs)
+        assert all(y.flags.c_contiguous for y in ys)
+
+    def test_fractional_vertex_id_rejected(self, tmp_path):
+        path = tmp_path / "frac.csv"
+        path.write_text("vertex,y,x0\n0,1.0,2.0\n1.5,1.0,2.0\n")
+        with pytest.raises(ValueError, match=r"frac.csv:3: .*'1.5'"):
+            read_data_csv(path)
+
+    def test_comment_line_rejected(self, tmp_path):
+        path = tmp_path / "comment.csv"
+        path.write_text("vertex,y,x0\n0,1.0,2.0\n# a note\n1,1.0,2.0\n")
+        with pytest.raises(ValueError, match=r"comment.csv:3: expected 3 fields, got 1"):
+            read_data_csv(path)
+
+    def test_ragged_row_mid_file(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text(
+            "vertex,y,x0,x1\n0,1.0,2.0,3.0\n1,1.0,2.0\n1,1.0,2.0,3.0\n"
+        )
+        with pytest.raises(ValueError, match=r"ragged.csv:3: expected 4 fields, got 3"):
+            read_data_csv(path)
+
+    def test_unparsable_value_names_its_line(self, tmp_path):
+        path = tmp_path / "word.csv"
+        path.write_text("vertex,y,x0\n0,1.0,2.0\n0,one,2.0\n")
+        with pytest.raises(ValueError, match=r"word.csv:3: .*'one'"):
+            read_data_csv(path)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_line_endings_and_trailing_blank_lines(self, tmp_path, eol):
+        lines = ["vertex,y,x0", "0,0.1,1e-300", "1,-2.5,3.0", "0,7.0,-0.0", "", ""]
+        path = tmp_path / "eol.csv"
+        path.write_bytes(eol.join(lines).encode())
+        xs, ys = read_data_csv(path)
+        assert [y.tolist() for y in ys] == [[0.1, 7.0], [-2.5]]
+        assert xs[0].tolist() == [[1e-300], [-0.0]]
+        assert xs[1].tolist() == [[3.0]]
+
+    def test_written_file_has_crlf_and_reads_back(self, tmp_path):
+        rng = np.random.default_rng(52)
+        xs = [rng.standard_normal((3, 2)) for _ in range(2)]
+        ys = [rng.standard_normal(3) for _ in range(2)]
+        path = tmp_path / "w.csv"
+        write_data_csv(path, xs, ys)
+        assert b"\r\n" in path.read_bytes()
+        back_x, back_y = read_data_csv(path)
+        for a, b in zip(xs + ys, back_x + back_y):
+            assert a.tobytes() == b.tobytes()
+
+    def test_huge_vertex_id_reports_missing_vertices(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("vertex,y,x0\n0,1.0,2.0\n1000000000000,1.0,2.0\n")
+        with pytest.raises(ValueError, match=r"vertices \[1, 2, .*, 10\] and "
+                                             r"999999999989 more have no rows"):
+            read_data_csv(path)
+
 
 class TestEdgeList:
     def test_round_trip(self, tmp_path):

@@ -13,7 +13,12 @@ from slowreg import (
 )
 from slowreg.stepwise import _ridge_refit, sparse_ridge_greedy, stepwise_fit
 
-from util import exhaustive_best_support, make_instance
+from util import (
+    exhaustive_best_support,
+    make_instance,
+    random_graph,
+    stepwise_fit_reference,
+)
 
 
 def ridge_direct(x, y, lam):
@@ -153,6 +158,54 @@ class TestStepwiseFit:
         budget = SparsityBudget(max_per_vertex=2, max_global=2, max_changes=0)
         res = stepwise_fit(instance, budget, seed=2)
         assert check_feasible(res.z, budget, instance.graph)
+
+
+def _graph(kind, t, rng):
+    if kind == "chain":
+        return SimilarityGraph.chain(t)
+    if kind == "random":
+        return random_graph(t, int(rng.integers(t, t * (t - 1) // 2 + 1)), rng)
+    return SimilarityGraph(t, edges=())
+
+
+class TestRemovalLoopMatchesReference:
+    """The array-based removal loop against its plain-loop reference, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["chain", "random", "isolated"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_identical(self, kind, seed):
+        rng = np.random.default_rng(3000 + seed)
+        t = int(rng.integers(8, 12))
+        d = int(rng.integers(10, 14))
+        k_l = 2 + seed % 2
+        if seed % 3 == 2 and kind != "isolated":
+            # only the change budget binds
+            budget = SparsityBudget(max_per_vertex=k_l, max_global=d, max_changes=1)
+        else:
+            budget = SparsityBudget(
+                max_per_vertex=k_l, max_global=k_l, max_changes=2 * k_l * t
+            )
+        instance = make_instance(
+            T=t, D=d, N=12, seed=seed, graph=_graph(kind, t, rng),
+            lambda_delta=float(rng.uniform(0.1, 2.0)),
+        )
+        self._assert_matches(instance, budget, seed, min_iterations=5)
+
+    def test_single_vertex(self):
+        # no edges and a union no larger than K_L: the loop never runs
+        instance = make_instance(T=1, D=6, N=10, seed=5, graph=SimilarityGraph(1))
+        budget = SparsityBudget(max_per_vertex=3, max_global=3, max_changes=0)
+        self._assert_matches(instance, budget, 5, min_iterations=0)
+
+    @staticmethod
+    def _assert_matches(instance, budget, seed, min_iterations):
+        z, beta, cost, iterations = stepwise_fit_reference(instance, budget, seed=seed)
+        res = stepwise_fit(instance, budget, seed=seed)
+        assert iterations >= min_iterations
+        assert res.removal_iterations == iterations
+        np.testing.assert_array_equal(res.z, z)
+        assert res.beta.tobytes() == beta.tobytes()
+        assert res.cost == cost
 
 
 class TestWarmStartQuality:

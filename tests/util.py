@@ -162,3 +162,86 @@ def exhaustive_best_support(instance, k_l, k_g, k_c):
         elif abs(cost - best) <= 1e-12:
             argbest.append(z)
     return best, argbest
+
+
+def stepwise_fit_reference(instance, budget, seed=0):
+    """The stepwise heuristic with its removal loop written as plain loops.
+
+    Per-vertex supports are Python sets, the budget checks are set unions
+    and symmetric differences, neighbours come from `graph.neighbors`, and
+    the removal score recomputes X_t'r_t for every vertex on every pass.
+    The greedy phase and the final coupled refit use the package's
+    functions. Returns (z, beta, cost, removal_iterations).
+    """
+    from slowreg import beta_star, build_quadform, eval_cost
+    from slowreg.stepwise import sparse_ridge_greedy
+
+    graph = instance.graph
+    T, D = instance.vertex_count, instance.feature_count
+    lam = instance.lambda_beta
+    rng = np.random.default_rng(seed)
+
+    def refit(x, y, support):
+        beta = np.zeros(D)
+        if support:
+            xs = x[:, support]
+            gram = xs.T @ xs
+            gram[np.diag_indices_from(gram)] += lam
+            beta[support] = np.linalg.solve(gram, xs.T @ y)
+        return beta
+
+    def over_budget(supports):
+        if len(set().union(*supports)) > budget.max_global:
+            return True
+        changes = sum(len(supports[s] ^ supports[t]) for s, t in graph.edges)
+        return changes > budget.max_changes
+
+    def weakest_feature(coeffs, residuals, col_norm2, supports):
+        data = np.zeros(D)
+        for t in range(T):
+            colr = instance.x_blocks[t].T @ residuals[t]
+            data += 2.0 * coeffs[t] * colr + coeffs[t] ** 2 * col_norm2[t]
+        ridge = lam * np.sum(coeffs**2, axis=0)
+        smooth = np.zeros(D)
+        for s, t in graph.edges:
+            smooth += (coeffs[t] - coeffs[s]) ** 2
+        smooth *= instance.lambda_delta
+        delta = data - ridge - smooth
+        candidates = np.array(sorted(set().union(*supports)), dtype=np.int64)
+        return int(candidates[int(np.argmin(delta[candidates]))])
+
+    coeffs = np.zeros((T, D))
+    residuals = []
+    col_norm2 = np.empty((T, D))
+    for t in range(T):
+        x, y = instance.x_blocks[t], instance.y_blocks[t]
+        _, coeffs[t] = sparse_ridge_greedy(x, y, budget.max_per_vertex, lam)
+        residuals.append(y - x @ coeffs[t])
+        col_norm2[t] = np.einsum("ij,ij->j", x, x)
+    supports = [set(np.flatnonzero(coeffs[t]).tolist()) for t in range(T)]
+
+    iterations = 0
+    while over_budget(supports):
+        j_star = weakest_feature(coeffs, residuals, col_norm2, supports)
+        for t in range(T):
+            if j_star not in supports[t]:
+                continue
+            new_support = supports[t] - {j_star}
+            neighbors = graph.neighbors(t)
+            if neighbors:
+                s = int(neighbors[int(rng.integers(len(neighbors)))])
+                candidates = sorted(supports[s] - supports[t] - {j_star})
+                if candidates:
+                    new_support.add(int(candidates[int(rng.integers(len(candidates)))]))
+            x, y = instance.x_blocks[t], instance.y_blocks[t]
+            coeffs[t] = refit(x, y, sorted(new_support))
+            residuals[t] = y - x @ coeffs[t]
+            supports[t] = set(np.flatnonzero(coeffs[t]).tolist())
+        iterations += 1
+
+    z = np.zeros(T * D, dtype=bool)
+    for t in range(T):
+        for j in supports[t]:
+            z[t * D + j] = True
+    qf = build_quadform(instance)
+    return z, beta_star(qf, z), eval_cost(qf, z), iterations
