@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .problem import (
     check_feasible,
     support_change_count,
 )
-from .stepwise import sparse_ridge_greedy, stepwise_fit
+from .stepwise import greedy_start, sparse_ridge_greedy, stepwise_fit
 
 MODES = ("temporal", "spatial")
 
@@ -109,14 +109,8 @@ class SynthDataset:
     metadata: dict
 
     def with_lambdas(self, lambda_beta: float, lambda_delta: float) -> ProblemInstance:
-        """The same training data under different regularization weights."""
-        return ProblemInstance(
-            graph=self.instance.graph,
-            x_blocks=self.instance.x_blocks,
-            y_blocks=self.instance.y_blocks,
-            lambda_beta=lambda_beta,
-            lambda_delta=lambda_delta,
-        )
+        """The training instance under other weights (`instance.with_weights`)."""
+        return self.instance.with_weights(lambda_beta, lambda_delta)
 
 
 @dataclass
@@ -502,19 +496,23 @@ def _holdout_rows(
     return out
 
 
-def _subset_instance(
-    instance: ProblemInstance,
-    rows: list[np.ndarray],
-    lambda_beta: float,
-    lambda_delta: float,
-) -> ProblemInstance:
-    return ProblemInstance(
+def _holdout_split(
+    instance: ProblemInstance, fraction: float, seed: int
+) -> tuple[ProblemInstance, list[tuple[np.ndarray, np.ndarray]]]:
+    """The training rows as an instance (same weights) and the held-out blocks."""
+    splits = _holdout_rows(instance.row_counts, fraction, seed)
+    train = ProblemInstance(
         graph=instance.graph,
-        x_blocks=tuple(x[idx] for x, idx in zip(instance.x_blocks, rows)),
-        y_blocks=tuple(y[idx] for y, idx in zip(instance.y_blocks, rows)),
-        lambda_beta=lambda_beta,
-        lambda_delta=lambda_delta,
+        x_blocks=tuple(x[tr] for x, (tr, _) in zip(instance.x_blocks, splits)),
+        y_blocks=tuple(y[tr] for y, (tr, _) in zip(instance.y_blocks, splits)),
+        lambda_beta=instance.lambda_beta,
+        lambda_delta=instance.lambda_delta,
     )
+    hold_blocks = [
+        (x[hold], y[hold])
+        for x, y, (_, hold) in zip(instance.x_blocks, instance.y_blocks, splits)
+    ]
+    return train, hold_blocks
 
 
 def _pooled_r2(
@@ -552,40 +550,47 @@ def grid_search(
     scored on the held-out rows (one pooled R^2). The best pair (first in
     grid order on ties) is refit on the full training data; that refit, the
     per-config table, and the reweighted full instance are all returned.
+
+    The pairs share what does not depend on their weights. The training
+    quadform is built once at lambda_delta = 0, so its blocks are X_t'X_t;
+    each pair only rewrites the T*D diagonal entries to
+    X_t'X_t + deg(t) * lambda_delta, in place, which gives the same bits as
+    building its quadform afresh. The greedy phase of the stepwise heuristic
+    depends only on lambda_beta, so it runs once per distinct lambda_beta.
     """
     if grid is None:
         anchor = float(np.mean(instance.row_counts))
         grid = default_grid(anchor)
     if not grid:
         raise ValueError("the tuning grid is empty")
-    splits = _holdout_rows(instance.row_counts, holdout_fraction, seed)
-    train_rows = [tr for tr, _ in splits]
-    hold_blocks = [
-        (x[hold], y[hold])
-        for (x, y), (_, hold) in zip(
-            zip(instance.x_blocks, instance.y_blocks), splits
-        )
-    ]
+    train, hold_blocks = _holdout_split(instance, holdout_fraction, seed)
     t, d = instance.vertex_count, instance.feature_count
+
+    qf = build_quadform(train.with_weights(train.lambda_beta, 0.0))
+    diag = qf.gram.reshape(t, d * d)[:, :: d + 1]    # a view into qf.gram
+    xtx_diag = diag.copy()
+    deg = instance.graph.degrees()[:, None]
+    starts = {}
 
     best = None
     table = []
     for lb, ld in grid:
-        sub = _subset_instance(instance, train_rows, lb, ld)
-        res = stepwise_fit(sub, budget, seed=seed)
+        sub = train.with_weights(lb, ld)
+        diag[...] = xtx_diag + deg * ld
+        if lb not in starts:
+            starts[lb] = greedy_start(sub, budget)
+        res = stepwise_fit(
+            sub, budget, seed=seed,
+            qf=replace(qf, lambda_beta=lb, lambda_delta=ld), start=starts[lb],
+        )
         r2 = _pooled_r2(res.beta.reshape(t, d), hold_blocks)
         table.append({"lambda_beta": lb, "lambda_delta": ld, "holdout_r2": r2})
         if best is None or r2 > best[0]:
             best = (r2, lb, ld)
+    del qf, diag, starts    # free the training Gram before the full refit
 
     r2_best, lb_best, ld_best = best
-    full = ProblemInstance(
-        graph=instance.graph,
-        x_blocks=instance.x_blocks,
-        y_blocks=instance.y_blocks,
-        lambda_beta=lb_best,
-        lambda_delta=ld_best,
-    )
+    full = instance.with_weights(lb_best, ld_best)
     final_fit = stepwise_fit(full, budget, seed=seed)
     return GridSearchResult(
         lambda_beta=lb_best,
@@ -607,19 +612,11 @@ def tune_static(
     """Ridge weight for the static baseline by the same holdout protocol."""
     if grid is None:
         grid = lambda_beta_grid(float(np.mean(instance.row_counts)))
-    splits = _holdout_rows(instance.row_counts, holdout_fraction, seed)
-    train_rows = [tr for tr, _ in splits]
-    hold_blocks = [
-        (x[hold], y[hold])
-        for (x, y), (_, hold) in zip(
-            zip(instance.x_blocks, instance.y_blocks), splits
-        )
-    ]
+    train, hold_blocks = _holdout_split(instance, holdout_fraction, seed)
     t, d = instance.vertex_count, instance.feature_count
     best = None
     for lb in grid:
-        sub = _subset_instance(instance, train_rows, lb, instance.lambda_delta)
-        beta, _ = fit_static(sub, k, lb)
+        beta, _ = fit_static(train, k, lb)
         r2 = _pooled_r2(beta.reshape(t, d), hold_blocks)
         if best is None or r2 > best[0]:
             best = (r2, lb)

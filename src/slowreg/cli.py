@@ -406,7 +406,11 @@ def _standardize_blocks(x_blocks, y_blocks):
 
 
 def _load_fit_inputs(cfg: RunConfig):
-    """CSV + graph into blocks, optionally standardized; errors map to I/O."""
+    """CSV + graph into an instance, optionally standardized; errors map to I/O.
+
+    Both weights of the instance sit at the mean row count, where the
+    tuning grid is anchored.
+    """
     try:
         x_blocks, y_blocks = read_data_csv(cfg.data)
     except OSError as exc:
@@ -426,39 +430,26 @@ def _load_fit_inputs(cfg: RunConfig):
     scaling = None
     if cfg.standardize:
         x_blocks, y_blocks, scaling = _standardize_blocks(x_blocks, y_blocks)
-    return x_blocks, y_blocks, graph, scaling
-
-
-def _instance_with(x_blocks, y_blocks, graph, lambda_beta, lambda_delta):
-    return ProblemInstance(
-        graph=graph,
-        x_blocks=tuple(x_blocks),
-        y_blocks=tuple(y_blocks),
-        lambda_beta=lambda_beta,
-        lambda_delta=lambda_delta,
-    )
+    anchor = float(np.mean([x.shape[0] for x in x_blocks]))
+    instance = ProblemInstance(graph, tuple(x_blocks), tuple(y_blocks), anchor, anchor)
+    return instance, scaling
 
 
 def _run_fit(cfg: RunConfig) -> dict:
-    x_blocks, y_blocks, graph, scaling = _load_fit_inputs(cfg)
-    t = len(x_blocks)
-    d = x_blocks[0].shape[1]
+    instance, scaling = _load_fit_inputs(cfg)
+    t, d = instance.vertex_count, instance.feature_count
     budget = SparsityBudget(
         max_per_vertex=cfg.kl, max_global=cfg.kg, max_changes=cfg.kc
     )
     budget.validate(t, d)
 
     if cfg.grid:
-        anchor = float(np.mean([x.shape[0] for x in x_blocks]))
-        base = _instance_with(x_blocks, y_blocks, graph, anchor, anchor)
-        gs = grid_search(base, budget, seed=cfg.seed)
+        gs = grid_search(instance, budget, seed=cfg.seed)
         instance = gs.instance
         warm = gs.fit
         lambda_beta, lambda_delta = gs.lambda_beta, gs.lambda_delta
     else:
-        instance = _instance_with(
-            x_blocks, y_blocks, graph, cfg.lambda_beta, cfg.lambda_delta
-        )
+        instance = instance.with_weights(cfg.lambda_beta, cfg.lambda_delta)
         warm = stepwise_fit(instance, budget, seed=cfg.seed)
         lambda_beta, lambda_delta = cfg.lambda_beta, cfg.lambda_delta
 
@@ -524,14 +515,11 @@ def _run_synth(cfg: RunConfig) -> dict:
 
 def _run_gridsearch(cfg: RunConfig) -> dict:
     if cfg.data is not None:
-        x_blocks, y_blocks, graph, _ = _load_fit_inputs(cfg)
-        t, d = len(x_blocks), x_blocks[0].shape[1]
+        instance, _ = _load_fit_inputs(cfg)
         budget = SparsityBudget(
             max_per_vertex=cfg.kl, max_global=cfg.kg, max_changes=cfg.kc
         )
-        budget.validate(t, d)
-        anchor = float(np.mean([x.shape[0] for x in x_blocks]))
-        instance = _instance_with(x_blocks, y_blocks, graph, anchor, anchor)
+        budget.validate(instance.vertex_count, instance.feature_count)
     else:
         try:
             dataset = make_synthetic_dataset(cfg.params)

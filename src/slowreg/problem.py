@@ -20,7 +20,7 @@ term is what keeps every restricted system invertible).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,6 +98,10 @@ class ProblemInstance:
     @property
     def row_counts(self) -> tuple[int, ...]:
         return tuple(x.shape[0] for x in self.x_blocks)
+
+    def with_weights(self, lambda_beta: float, lambda_delta: float) -> ProblemInstance:
+        """The same graph and data blocks (shared, not copied) under other weights."""
+        return replace(self, lambda_beta=lambda_beta, lambda_delta=lambda_delta)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,15 @@ Each pass shrinks the union by one, so the loop is bounded by the initial
 union size. The result always satisfies all three budgets, which makes it a
 safe warm start and incumbent for the exact solver.
 
-The removal loop works on whole (T, D) arrays: the support as a boolean
-matrix, the coefficients, and a cache of X_t'r_t per vertex. Only the
-vertices refit in a pass get their cache row recomputed; the budget checks
-and the removal scores are array reductions over vertices and edges.
+Phase one reads only the data blocks, K_L and lambda_beta, so a caller that
+fits one dataset under many weights (the holdout grid search) can run it
+once per lambda_beta with `greedy_start` and hand the result to every fit
+that shares it. The removal loop works on whole (T, D) arrays: the support
+as a boolean matrix, the coefficients, and a cache of X_t'r_t per vertex.
+Only the vertices refit in a pass get their cache row recomputed; the
+budget checks and the removal scores are array reductions over vertices and
+edges. The final coupled refit is one oracle evaluation, whose solve gives
+both the coefficients and the cost.
 """
 
 from __future__ import annotations
@@ -21,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import beta_star, eval_cost
+from . import oracle
+# unused here, but perfbench/tracer.py wraps slowreg.stepwise.beta_star
+from .oracle import beta_star  # noqa: F401
 from .problem import ProblemInstance, QuadForm, SparsityBudget, build_quadform
 
 
@@ -83,6 +90,36 @@ def _ridge_refit(
     return beta
 
 
+@dataclass(frozen=True)
+class GreedyStart:
+    """Phase one of the stepwise heuristic: every vertex fit on its own."""
+
+    coeffs: np.ndarray     # (T, D) greedy ridge coefficients
+    colr: np.ndarray       # (T, D) X_t' r_t at those coefficients
+    col_norm2: np.ndarray  # (T, D) squared column norms of X_t
+
+
+def greedy_start(instance: ProblemInstance, budget: SparsityBudget) -> GreedyStart:
+    """Forward selection of up to K_L features at each vertex independently.
+
+    Reads only the data blocks, `budget.max_per_vertex` and
+    `instance.lambda_beta`, so one result serves every fit of the same data
+    that differs only in lambda_delta or the other two budgets.
+    """
+    t_count, d_count = instance.vertex_count, instance.feature_count
+    lam = instance.lambda_beta
+    coeffs = np.zeros((t_count, d_count))
+    colr = np.empty((t_count, d_count))
+    col_norm2 = np.empty((t_count, d_count))
+    for t in range(t_count):
+        x_t, y_t = instance.x_blocks[t], instance.y_blocks[t]
+        _, beta_t = sparse_ridge_greedy(x_t, y_t, budget.max_per_vertex, lam)
+        coeffs[t] = beta_t
+        colr[t] = x_t.T @ (y_t - x_t @ beta_t)
+        col_norm2[t] = np.einsum("ij,ij->j", x_t, x_t)
+    return GreedyStart(coeffs=coeffs, colr=colr, col_norm2=col_norm2)
+
+
 @dataclass
 class StepwiseResult:
     z: np.ndarray                # flat boolean support, vertex-major
@@ -97,26 +134,28 @@ def stepwise_fit(
     budget: SparsityBudget,
     seed: int = 0,
     qf: QuadForm | None = None,
+    start: GreedyStart | None = None,
 ) -> StepwiseResult:
-    """Feasibility-guaranteed heuristic support for the coupled problem."""
+    """Feasibility-guaranteed heuristic support for the coupled problem.
+
+    `qf` must be the quadform of `instance` and `start` its
+    `greedy_start(instance, budget)`; either is computed here when omitted.
+    Neither is modified. The returned beta and cost come from one
+    `oracle.evaluate` on the final support.
+    """
     t_count = instance.vertex_count
     d_count = instance.feature_count
     budget.validate(t_count, d_count)
     rng = np.random.default_rng(seed)
     if qf is None:
         qf = build_quadform(instance)
+    if start is None:
+        start = greedy_start(instance, budget)
     x_blocks, y_blocks = instance.x_blocks, instance.y_blocks
     lam = instance.lambda_beta
-
-    coeffs = np.zeros((t_count, d_count))
-    colr = np.empty((t_count, d_count))       # X_t' r_t, one row per vertex
-    col_norm2 = np.empty((t_count, d_count))
-    for t in range(t_count):
-        x_t, y_t = x_blocks[t], y_blocks[t]
-        _, beta_t = sparse_ridge_greedy(x_t, y_t, budget.max_per_vertex, lam)
-        coeffs[t] = beta_t
-        colr[t] = x_t.T @ (y_t - x_t @ beta_t)
-        col_norm2[t] = np.einsum("ij,ij->j", x_t, x_t)
+    coeffs = start.coeffs.copy()
+    colr = start.colr.copy()                  # X_t' r_t, one row per vertex
+    col_norm2 = start.col_norm2
 
     zg = coeffs != 0.0
     edges = np.array(instance.graph.edges, dtype=np.int64).reshape(-1, 2)
@@ -155,11 +194,11 @@ def stepwise_fit(
         removal_iterations += 1
 
     z = zg.ravel()
-    beta = beta_star(qf, z)
+    ev = oracle.evaluate(qf, z)
     return StepwiseResult(
         z=z,
-        beta=beta,
-        cost=eval_cost(qf, z),
+        beta=ev.cache.v0,
+        cost=ev.cost,
         removal_iterations=removal_iterations,
         initial_union_size=initial_union,
     )
@@ -171,14 +210,17 @@ def _weakest_feature(instance, coeffs, colr, col_norm2, zg, src, dst) -> int:
     The score is the exact change of the full objective when column j is
     zeroed everywhere with no refit: the data term grows by
     2 b_tj x_j'r_t + b_tj^2 |x_j|^2 per vertex while both penalty terms
-    release their j contributions. Both sums run over axis 0, so vertices
-    and edges are added one at a time in index order (at D = 1 numpy sums
-    pairwise instead, but then there is only one candidate).
+    release their j contributions. Only the columns still in the union
+    support are scored. The sums run over axis 0, so vertices and edges are
+    added one at a time in index order (with a single candidate numpy sums
+    pairwise instead, but then the choice is already made).
     """
-    data = (2.0 * coeffs * colr + coeffs**2 * col_norm2).sum(axis=0)
-    ridge = instance.lambda_beta * np.sum(coeffs**2, axis=0)
-    smooth = ((coeffs[dst] - coeffs[src]) ** 2).sum(axis=0)
+    candidates = np.flatnonzero(zg.any(axis=0))
+    b = coeffs[:, candidates]
+    data = (2.0 * b * colr[:, candidates] + b**2 * col_norm2[:, candidates])
+    data = data.sum(axis=0)
+    ridge = instance.lambda_beta * np.sum(b**2, axis=0)
+    smooth = ((b[dst] - b[src]) ** 2).sum(axis=0)
     smooth *= instance.lambda_delta
     delta = data - ridge - smooth
-    candidates = np.flatnonzero(zg.any(axis=0))
-    return int(candidates[int(np.argmin(delta[candidates]))])
+    return int(candidates[int(np.argmin(delta))])

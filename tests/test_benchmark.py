@@ -11,6 +11,7 @@ from slowreg import (
     SparsityBudget,
     SynthParams,
     add_noise,
+    build_quadform,
     check_feasible,
     compute_metrics,
     default_grid,
@@ -29,7 +30,11 @@ from slowreg import (
     stepwise_fit,
     support_change_count,
 )
+import slowreg.benchmark as bench
 from slowreg.benchmark import noise_variance
+from slowreg.stepwise import greedy_start
+
+from util import graph_of_kind, grid_search_reference, make_instance
 
 
 def temporal_params(**kw):
@@ -454,6 +459,82 @@ class TestGridSearch:
             grid_search(ds.instance, budget, grid=[])
         with pytest.raises(ValueError):
             grid_search(ds.instance, budget, grid=[(1.0, 1.0)], holdout_fraction=0.0)
+
+
+# lambda_beta interleaved and repeated, so consecutive pairs rarely share it
+INTERLEAVED_GRID = [
+    (4.0, 1.0), (12.0, 0.0), (4.0, 3.0), (1.5, 1.0),
+    (12.0, 2.5), (1.5, 0.0), (4.0, 0.5), (12.0, 1.0),
+]
+
+
+class TestGridSearchMatchesReference:
+    """Shared Gram, cached greedy phase and single solve against a pair-by-pair search."""
+
+    @staticmethod
+    def make(kind, seed):
+        rng = np.random.default_rng(4000 + seed)
+        t = int(rng.integers(6, 9))
+        instance = make_instance(
+            T=t, D=10, N=14, seed=seed, graph=graph_of_kind(kind, t, rng)
+        )
+        k_l = 3
+        if kind == "isolated":
+            budget = SparsityBudget(max_per_vertex=k_l, max_global=k_l, max_changes=0)
+        else:
+            budget = SparsityBudget(max_per_vertex=k_l, max_global=k_l + 1, max_changes=3)
+        return instance, budget
+
+    @pytest.mark.parametrize("kind", ["chain", "random", "isolated"])
+    @pytest.mark.parametrize("grid", ["default", "interleaved"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_bit_identical(self, kind, grid, seed):
+        instance, budget = self.make(kind, seed)
+        pairs = None if grid == "default" else INTERLEAVED_GRID
+        table, best, (z, beta, cost, iterations) = grid_search_reference(
+            instance, budget, grid=pairs, seed=seed
+        )
+        res = grid_search(instance, budget, grid=pairs, seed=seed)
+        assert res.table == table
+        assert (res.lambda_beta, res.lambda_delta, res.holdout_r2) == best
+        assert res.fit.z.tobytes() == z.tobytes()
+        assert res.fit.beta.tobytes() == beta.tobytes()
+        assert res.fit.cost == cost
+        assert res.fit.removal_iterations == iterations
+
+    @pytest.mark.parametrize("kind", ["chain", "random"])
+    def test_each_pair_sees_its_own_quadform_and_greedy_start(self, kind, monkeypatch):
+        instance, budget = self.make(kind, 0)
+        calls = []
+        greedy_lambdas = []
+
+        def spy_fit(sub, budget, seed=0, qf=None, start=None):
+            if qf is not None:
+                # compare now: the grid search rewrites the Gram for the next pair
+                fresh = build_quadform(sub)
+                assert qf.gram.tobytes() == fresh.gram.tobytes()
+                assert qf.mu.tobytes() == fresh.mu.tobytes()
+                assert qf.const_term == fresh.const_term
+                assert (qf.lambda_beta, qf.lambda_delta) == (
+                    sub.lambda_beta, sub.lambda_delta
+                )
+                own = greedy_start(sub, budget)
+                for name in ("coeffs", "colr", "col_norm2"):
+                    assert getattr(start, name).tobytes() == getattr(own, name).tobytes()
+            calls.append((sub.lambda_beta, sub.lambda_delta, qf is None))
+            return stepwise_fit(sub, budget, seed=seed, qf=qf, start=start)
+
+        def spy_greedy(sub, budget):
+            greedy_lambdas.append(sub.lambda_beta)
+            return greedy_start(sub, budget)
+
+        monkeypatch.setattr(bench, "stepwise_fit", spy_fit)
+        monkeypatch.setattr(bench, "greedy_start", spy_greedy)
+        res = bench.grid_search(instance, budget, grid=INTERLEAVED_GRID, seed=1)
+        # one fit per pair on the shared Gram, then the full refit builds its own
+        assert calls[:-1] == [(lb, ld, False) for lb, ld in INTERLEAVED_GRID]
+        assert calls[-1] == (res.lambda_beta, res.lambda_delta, True)
+        assert greedy_lambdas == [4.0, 12.0, 1.5]
 
 
 class TestSolverBudget:

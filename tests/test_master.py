@@ -421,7 +421,7 @@ def weak_chain_setup(seed):
     dataset = make_synthetic_dataset(
         SynthParams(n=30, t=4, d=8, k_l=2, k_c=2, mode="temporal", seed=seed)
     )
-    instance = dataset.with_lambdas(30 * 3.0**-6, 30 * 3.0**-2)
+    instance = dataset.instance.with_weights(30 * 3.0**-6, 30 * 3.0**-2)
     budget = solver_budget(dataset)
     warm = stepwise_fit(instance, budget, seed=seed)
     return instance, budget, warm.z

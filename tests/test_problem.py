@@ -68,6 +68,20 @@ class TestInstance:
             ProblemInstance(g, (x,), (y,), 1.0, -0.5)
 
 
+    def test_with_weights_shares_data_and_validates(self):
+        inst = make_instance(T=3, D=4, seed=8)
+        other = inst.with_weights(2.5, 0.0)
+        assert (other.lambda_beta, other.lambda_delta) == (2.5, 0.0)
+        assert (inst.lambda_beta, inst.lambda_delta) == (1.0, 0.5)
+        assert other.graph is inst.graph
+        for a, b in zip(other.x_blocks + other.y_blocks, inst.x_blocks + inst.y_blocks):
+            assert np.shares_memory(a, b)
+        with pytest.raises(ValueError):
+            inst.with_weights(0.0, 1.0)
+        with pytest.raises(ValueError):
+            inst.with_weights(1.0, -1.0)
+
+
 class TestQuadForm:
     def test_identity_design_blocks(self):
         # X^t = I so the Gram part is the identity; edges add deg*lambda_delta.

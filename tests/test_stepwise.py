@@ -7,16 +7,17 @@ from slowreg import (
     SimilarityGraph,
     ProblemInstance,
     SparsityBudget,
+    beta_star,
     build_quadform,
     check_feasible,
     eval_cost,
 )
-from slowreg.stepwise import _ridge_refit, sparse_ridge_greedy, stepwise_fit
+from slowreg.stepwise import _ridge_refit, greedy_start, sparse_ridge_greedy, stepwise_fit
 
 from util import (
     exhaustive_best_support,
+    graph_of_kind,
     make_instance,
-    random_graph,
     stepwise_fit_reference,
 )
 
@@ -160,14 +161,6 @@ class TestStepwiseFit:
         assert check_feasible(res.z, budget, instance.graph)
 
 
-def _graph(kind, t, rng):
-    if kind == "chain":
-        return SimilarityGraph.chain(t)
-    if kind == "random":
-        return random_graph(t, int(rng.integers(t, t * (t - 1) // 2 + 1)), rng)
-    return SimilarityGraph(t, edges=())
-
-
 class TestRemovalLoopMatchesReference:
     """The array-based removal loop against its plain-loop reference, bit for bit."""
 
@@ -186,7 +179,7 @@ class TestRemovalLoopMatchesReference:
                 max_per_vertex=k_l, max_global=k_l, max_changes=2 * k_l * t
             )
         instance = make_instance(
-            T=t, D=d, N=12, seed=seed, graph=_graph(kind, t, rng),
+            T=t, D=d, N=12, seed=seed, graph=graph_of_kind(kind, t, rng),
             lambda_delta=float(rng.uniform(0.1, 2.0)),
         )
         self._assert_matches(instance, budget, seed, min_iterations=5)
@@ -206,6 +199,47 @@ class TestRemovalLoopMatchesReference:
         np.testing.assert_array_equal(res.z, z)
         assert res.beta.tobytes() == beta.tobytes()
         assert res.cost == cost
+
+
+class TestSingleSolve:
+    """The final refit is one evaluation; a greedy start can be handed in."""
+
+    @pytest.mark.parametrize("kind", ["chain", "random"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_beta_and_cost_match_separate_solves(self, kind, seed):
+        rng = np.random.default_rng(5000 + seed)
+        t = int(rng.integers(6, 10))
+        instance = make_instance(
+            T=t, D=9, N=12, seed=seed, graph=graph_of_kind(kind, t, rng), lambda_delta=0.8
+        )
+        budget = SparsityBudget(max_per_vertex=3, max_global=4, max_changes=3)
+        res = stepwise_fit(instance, budget, seed=seed)
+        assert res.removal_iterations > 0
+        qf = build_quadform(instance)
+        assert res.beta.tobytes() == beta_star(qf, res.z).tobytes()
+        assert res.cost == eval_cost(qf, res.z)
+
+    @pytest.mark.parametrize("kind", ["chain", "random"])
+    def test_precomputed_start_gives_the_same_fit(self, kind):
+        rng = np.random.default_rng(5100)
+        instance = make_instance(
+            T=8, D=9, N=12, seed=7, graph=graph_of_kind(kind, 8, rng), lambda_delta=0.8
+        )
+        budget = SparsityBudget(max_per_vertex=3, max_global=4, max_changes=3)
+        start = greedy_start(instance, budget)
+        before = [a.copy() for a in (start.coeffs, start.colr, start.col_norm2)]
+        qf = build_quadform(instance)
+        gram = qf.gram.copy()
+        given = stepwise_fit(instance, budget, seed=2, qf=qf, start=start)
+        plain = stepwise_fit(instance, budget, seed=2)
+        assert given.removal_iterations == plain.removal_iterations > 0
+        assert given.z.tobytes() == plain.z.tobytes()
+        assert given.beta.tobytes() == plain.beta.tobytes()
+        assert given.cost == plain.cost
+        # the fit works on copies: the start and the quadform are left as given
+        for a, b in zip((start.coeffs, start.colr, start.col_norm2), before):
+            assert a.tobytes() == b.tobytes()
+        assert qf.gram.tobytes() == gram.tobytes()
 
 
 class TestWarmStartQuality:

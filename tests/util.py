@@ -44,6 +44,15 @@ def random_graph(T, n_edges, rng):
     return SimilarityGraph(T, tuple(all_pairs[i] for i in idx))
 
 
+def graph_of_kind(kind, T, rng):
+    """A chain, a random graph with T to T(T-1)/2 edges, or no edges ("isolated")."""
+    if kind == "chain":
+        return SimilarityGraph.chain(T)
+    if kind == "random":
+        return random_graph(T, int(rng.integers(T, T * (T - 1) // 2 + 1)), rng)
+    return SimilarityGraph(T, edges=())
+
+
 def dense_coupled_reference(instance):
     """Full TD x TD coupled matrix built from raw data with plain loops."""
     T, D = instance.vertex_count, instance.feature_count
@@ -245,3 +254,48 @@ def stepwise_fit_reference(instance, budget, seed=0):
             z[t * D + j] = True
     qf = build_quadform(instance)
     return z, beta_star(qf, z), eval_cost(qf, z), iterations
+
+
+def grid_search_reference(instance, budget, grid=None, holdout_fraction=0.3, seed=0):
+    """Holdout grid search that treats every weight pair as a new problem.
+
+    Each pair gets its own training instance, and the fit is
+    `stepwise_fit_reference`, which builds its quadform, runs its greedy
+    phase and solves the final support itself. The split and the pooled
+    R^2 are the package's. Returns (table, (lambda_beta, lambda_delta,
+    holdout_r2), (z, beta, cost, removal_iterations)) with the last part
+    the refit of the best pair on the full data.
+    """
+    from slowreg.benchmark import _holdout_rows, _pooled_r2, default_grid
+
+    T, D = instance.vertex_count, instance.feature_count
+    if grid is None:
+        grid = default_grid(float(np.mean(instance.row_counts)))
+    splits = _holdout_rows(instance.row_counts, holdout_fraction, seed)
+    hold_blocks = [
+        (x[hold], y[hold])
+        for x, y, (_, hold) in zip(instance.x_blocks, instance.y_blocks, splits)
+    ]
+    table = []
+    best = None
+    for lb, ld in grid:
+        sub = ProblemInstance(
+            graph=instance.graph,
+            x_blocks=tuple(x[tr] for x, (tr, _) in zip(instance.x_blocks, splits)),
+            y_blocks=tuple(y[tr] for y, (tr, _) in zip(instance.y_blocks, splits)),
+            lambda_beta=lb,
+            lambda_delta=ld,
+        )
+        _, beta, _, _ = stepwise_fit_reference(sub, budget, seed=seed)
+        r2 = _pooled_r2(beta.reshape(T, D), hold_blocks)
+        table.append({"lambda_beta": lb, "lambda_delta": ld, "holdout_r2": r2})
+        if best is None or r2 > best[2]:
+            best = (lb, ld, r2)
+    full = ProblemInstance(
+        graph=instance.graph,
+        x_blocks=instance.x_blocks,
+        y_blocks=instance.y_blocks,
+        lambda_beta=best[0],
+        lambda_delta=best[1],
+    )
+    return table, best, stepwise_fit_reference(full, budget, seed=seed)
