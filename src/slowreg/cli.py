@@ -1,12 +1,11 @@
 """Command-line front end: parsing, orchestration, and JSON reporting.
 
-Four subcommands share one executable. `fit` loads an observation CSV and a
-graph, tunes or accepts regularization weights, and runs the stepwise
+Three subcommands share one executable. `fit` loads an observation CSV and
+a graph, tunes or accepts regularization weights, and runs the stepwise
 heuristic followed by the exact tree search. `synth` generates a seeded
 dataset and benchmarks the static, stepwise, and tree-search methods on it.
 `gridsearch` reports the holdout tuning table for either an on-disk or a
-synthetic dataset. `selftest` re-verifies the library's core mathematical
-contracts in process.
+synthetic dataset.
 
 Reports are JSON documents with a fixed key set per command, sorted keys,
 a `version` field, and the fully resolved configuration for provenance.
@@ -37,7 +36,6 @@ from .dataio import dump_dataset, read_data_csv, read_edge_list, read_metadata
 from .graph import SimilarityGraph
 from .master import SolveLimits, solve_support_selection
 from .problem import BudgetError, ProblemInstance, SparsityBudget, build_quadform
-from .selftest import run_selftest
 from .stepwise import stepwise_fit
 
 EXIT_OK = 0
@@ -114,24 +112,22 @@ class RunConfig:
                 "dump_data": self.dump_data,
                 **common,
             }
-        if self.command == "gridsearch":
-            out = {
-                "command": "gridsearch",
-                "holdout": self.holdout,
-                **common,
-            }
-            if self.data is not None:
-                out.update(
-                    data=self.data, graph=self.graph, chain=self.chain,
-                    kl=self.kl, kg=self.kg, kc=self.kc,
-                    standardize=self.standardize,
-                )
-            else:
-                out.update(
-                    {f"params_{k}": v for k, v in self.params.to_dict().items()}
-                )
-            return out
-        return {"command": self.command, "seed": self.seed}
+        out = {
+            "command": "gridsearch",
+            "holdout": self.holdout,
+            **common,
+        }
+        if self.data is not None:
+            out.update(
+                data=self.data, graph=self.graph, chain=self.chain,
+                kl=self.kl, kg=self.kg, kc=self.kc,
+                standardize=self.standardize,
+            )
+        else:
+            out.update(
+                {f"params_{k}": v for k, v in self.params.to_dict().items()}
+            )
+        return out
 
 
 _BOOL_WORDS = {
@@ -229,9 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     flag(p_gs, "--holdout", type=float, help="holdout fraction (default 0.3)")
     common(p_gs)
 
-    p_self = sub.add_parser("selftest", help="verify core mathematical contracts")
-    flag(p_self, "--seed", type=int, help="RNG seed (default 0)")
-
     return parser
 
 
@@ -289,13 +282,30 @@ def _synth_params(ns: dict, command: str) -> SynthParams:
         raise UsageError(str(exc)) from None
 
 
+def _data_inputs(ns: dict, cfg: RunConfig, command: str) -> None:
+    """The data file, its graph, the budgets and --standardize into cfg."""
+    _require(ns, ["data", "kl", "kg", "kc"], command)
+    cfg.data = _existing(ns["data"], "data")
+    cfg.chain = bool(ns.get("chain"))
+    if cfg.chain and ns.get("graph"):
+        raise UsageError(f"{command}: give --graph or --chain, not both")
+    if not cfg.chain:
+        if not ns.get("graph"):
+            raise UsageError(
+                f"{command}: a graph is required (--graph FILE or --chain)"
+            )
+        cfg.graph = _existing(ns["graph"], "graph")
+    cfg.kl, cfg.kg, cfg.kc = ns["kl"], ns["kg"], ns["kc"]
+    cfg.standardize = bool(ns.get("standardize"))
+
+
 def parse_config(argv=None) -> RunConfig:
     """argv (or sys.argv) plus an optional config file into a RunConfig."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)
-        raise UsageError("a command is required: fit, synth, gridsearch, selftest")
+        raise UsageError("a command is required: fit, synth, gridsearch")
     ns = vars(args)
     if ns.get("config"):
         _apply_config_file(ns, _existing(ns["config"], "config"))
@@ -314,21 +324,8 @@ def parse_config(argv=None) -> RunConfig:
     cfg.output = ns.get("output")
     cfg.omit_timings = bool(ns.get("omit_timings"))
 
-    if command == "selftest":
-        return cfg
-
     if command == "fit":
-        _require(ns, ["data", "kl", "kg", "kc"], "fit")
-        cfg.data = _existing(ns["data"], "data")
-        cfg.chain = bool(ns.get("chain"))
-        if cfg.chain and ns.get("graph"):
-            raise UsageError("fit: give --graph or --chain, not both")
-        if not cfg.chain:
-            if not ns.get("graph"):
-                raise UsageError("fit: a graph is required (--graph FILE or --chain)")
-            cfg.graph = _existing(ns["graph"], "graph")
-        cfg.kl, cfg.kg, cfg.kc = ns["kl"], ns["kg"], ns["kc"]
-        cfg.standardize = bool(ns.get("standardize"))
+        _data_inputs(ns, cfg, "fit")
         has_lb = ns.get("lambda_beta") is not None
         has_ld = ns.get("lambda_delta") is not None
         wants_grid = bool(ns.get("grid"))
@@ -367,19 +364,7 @@ def parse_config(argv=None) -> RunConfig:
     if not (0.0 < cfg.holdout < 1.0):
         raise UsageError("gridsearch: --holdout must lie strictly between 0 and 1")
     if ns.get("data"):
-        _require(ns, ["kl", "kg", "kc"], "gridsearch")
-        cfg.data = _existing(ns["data"], "data")
-        cfg.chain = bool(ns.get("chain"))
-        if cfg.chain and ns.get("graph"):
-            raise UsageError("gridsearch: give --graph or --chain, not both")
-        if not cfg.chain:
-            if not ns.get("graph"):
-                raise UsageError(
-                    "gridsearch: a graph is required (--graph FILE or --chain)"
-                )
-            cfg.graph = _existing(ns["graph"], "graph")
-        cfg.kl, cfg.kg, cfg.kc = ns["kl"], ns["kg"], ns["kc"]
-        cfg.standardize = bool(ns.get("standardize"))
+        _data_inputs(ns, cfg, "gridsearch")
     else:
         cfg.params = _synth_params(ns, "gridsearch")
     return cfg
@@ -456,8 +441,6 @@ def _run_fit(cfg: RunConfig) -> dict:
     qf = build_quadform(instance)
     limits = SolveLimits(time_limit=cfg.time_limit, gap_tol=cfg.gap_tol)
     res = solve_support_selection(qf, budget, warm_start=warm.z, limits=limits)
-    if res.status == "infeasible" or res.incumbent_z is None:
-        raise BudgetError("no support satisfies the requested budgets")
 
     solver = solver_summary(res)
     if cfg.omit_timings:
@@ -562,19 +545,6 @@ def _emit(report: dict, cfg: RunConfig) -> None:
 
 def run(cfg: RunConfig) -> int:
     """Execute a parsed configuration; returns the process exit code."""
-    if cfg.command == "selftest":
-        results = run_selftest(seed=cfg.seed)
-        for r in results:
-            print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
-        failed = [r for r in results if not r.passed]
-        if failed:
-            print(
-                f"selftest: {len(failed)} of {len(results)} checks failed",
-                file=sys.stderr,
-            )
-            return EXIT_INTERNAL
-        return EXIT_OK
-
     if cfg.command == "fit":
         report = _run_fit(cfg)
     elif cfg.command == "synth":

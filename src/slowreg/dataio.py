@@ -20,7 +20,6 @@ from typing import NoReturn
 import numpy as np
 
 from .graph import SimilarityGraph
-from .problem import ProblemInstance
 
 
 def write_data_csv(path, x_blocks, y_blocks) -> None:
@@ -208,33 +207,6 @@ def read_beta_csv(path) -> np.ndarray:
     for v in range(t):
         out[v] = rows[v]
     return out.ravel()
-
-
-def load_instance(
-    data_path,
-    lambda_beta: float,
-    lambda_delta: float,
-    graph_path=None,
-    chain: bool = False,
-) -> ProblemInstance:
-    """Observation CSV plus either an edge-list file or an implied chain."""
-    x_blocks, y_blocks = read_data_csv(data_path)
-    t = len(x_blocks)
-    if chain and graph_path is not None:
-        raise ValueError("give either a graph file or the chain flag, not both")
-    if chain:
-        graph = SimilarityGraph.chain(t)
-    elif graph_path is not None:
-        graph = read_edge_list(graph_path, t)
-    else:
-        raise ValueError("a graph file or the chain flag is required")
-    return ProblemInstance(
-        graph=graph,
-        x_blocks=tuple(x_blocks),
-        y_blocks=tuple(y_blocks),
-        lambda_beta=lambda_beta,
-        lambda_delta=lambda_delta,
-    )
 
 
 def dump_dataset(prefix, dataset) -> dict:

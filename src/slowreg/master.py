@@ -9,14 +9,21 @@ tree shares one pool. A node whose LP relaxation turns integral either adds
 a violated cut and re-solves in place or certifies an incumbent and closes.
 Nodes are explored best bound first.
 
-Every LP after the root's first one is warm-started from an optimal basis.
-The re-solve after a cut passes the previous result's state, and a child
-node carries its parent's final state (the basis and the at-upper flags, not
-the basis inverse, so a waiting node costs about a kilobyte). The simplex
-extends a state by the rows appended since. A child differs from its parent
-by one tightened bound on the branched z, which is basic and fractional in
-the parent's basis, so that basis is dual but not primal feasible and a few
-dual simplex pivots take the place of a cold two-phase solve.
+Every node LP runs through the simplex's bounded dual phase. The root's
+first LP starts from the slack basis, which is dual feasible because the
+only cost is the +1 on eta (c = e_0) and eta starts at its lower bound.
+Every later LP is warm-started from an optimal basis. The re-solve after a
+cut passes the previous result's state, and a child node carries its
+parent's final state (the basis and the at-upper flags, not the basis
+inverse, so a waiting node costs about a kilobyte). The simplex extends a
+state by the rows appended since. A child differs from its parent by one
+tightened bound on the branched z, which is basic and fractional in the
+parent's basis, so that basis is dual but not primal feasible and a few
+dual pivots re-solve it.
+
+The root LP is always feasible: z = 0 meets every budget that `validate`
+accepts. So a search whose heap runs dry is optimal; only child nodes can
+come back infeasible.
 
 Variable layout: eta at 0, z_{t,d} at 1 + t*D + d, s_d at 1 + T*D + d,
 w_{e,d} at 1 + T*D + D + e*D + d. All rows are <= rows.
@@ -83,7 +90,7 @@ class SolveLimits:
 
 @dataclass
 class SolveResult:
-    status: str                    # optimal | time_limit | node_limit | infeasible
+    status: str                    # optimal | time_limit | node_limit
     incumbent_z: np.ndarray | None
     incumbent_beta: np.ndarray | None
     upper_bound: float             # cost of the incumbent support
@@ -100,7 +107,6 @@ class SolveResult:
 @dataclass
 class _Node:
     seq: int
-    depth: int
     bound: float
     fix0: np.ndarray
     fix1: np.ndarray
@@ -272,7 +278,7 @@ def solve_support_selection(
 
     seq = 0
     root = _Node(
-        seq=seq, depth=0, bound=mp.eta_lower,
+        seq=seq, bound=mp.eta_lower,
         fix0=np.zeros(td, dtype=bool), fix1=np.zeros(td, dtype=bool),
     )
     heap = [(root.bound, root.seq, root)]
@@ -280,7 +286,6 @@ def solve_support_selection(
     lower = mp.eta_lower
     status: str | None = None
     history: list[tuple[float, float, float]] = []
-    root_infeasible = False
 
     def elapsed() -> float:
         return time.perf_counter() - start_time
@@ -308,11 +313,7 @@ def solve_support_selection(
             lp = mp.node_lp(node.fix0, node.fix1)
             res = solve_boxed_lp(lp, start=start)
             if res.status == "infeasible":
-                if node.depth == 0:
-                    root_infeasible = True
                 break
-            if res.status != "optimal":
-                raise RuntimeError(f"node relaxation came back {res.status}")
             eta = float(res.x[0])
             z_values = res.x[mp.z0 : mp.s0]
             node.bound = res.objective
@@ -345,7 +346,7 @@ def solve_support_selection(
                     (fix0 if value == 0 else fix1)[j] = True
                     seq += 1
                     child = _Node(
-                        seq=seq, depth=node.depth + 1, bound=res.objective,
+                        seq=seq, bound=res.objective,
                         fix0=fix0, fix1=fix1, state=res.state,
                     )
                     heapq.heappush(heap, (child.bound, child.seq, child))
@@ -353,9 +354,10 @@ def solve_support_selection(
 
     if status is None:
         # the heap ran dry: every subtree is resolved
-        status = "infeasible" if root_infeasible and incumbent is None else "optimal"
-        if incumbent is not None or not root_infeasible:
-            lower = upper
+        if incumbent is None:
+            raise RuntimeError("search ended without an incumbent")
+        status = "optimal"
+        lower = upper
         history.append((elapsed(), lower, upper))
 
     if incumbent is not None:

@@ -2,9 +2,11 @@
 
 import json
 
-from slowreg import SparsityBudget, grid_search
+import pytest
+
+from slowreg import SimilarityGraph, SparsityBudget, grid_search
 from slowreg.cli import main
-from slowreg.dataio import write_data_csv
+from slowreg.dataio import write_data_csv, write_edge_list
 
 from util import make_instance
 
@@ -59,3 +61,108 @@ class TestFitCommand:
             "removal_iterations": gs.fit.removal_iterations,
             "initial_union_size": gs.fit.initial_union_size,
         }
+
+
+@pytest.fixture
+def data_files(tmp_path):
+    """A T=4, D=6 observation file and a non-chain edge list for it."""
+    instance = make_instance(
+        T=4, D=6, N=10, seed=23, graph=SimilarityGraph(4, ((0, 1), (1, 3), (0, 2)))
+    )
+    data = tmp_path / "train.csv"
+    graph = tmp_path / "graph.txt"
+    write_data_csv(data, instance.x_blocks, instance.y_blocks)
+    write_edge_list(graph, instance.graph)
+    return str(data), str(graph)
+
+
+def fit_argv(data, graph, output):
+    return [
+        "fit", "--data", data, "--graph", graph,
+        "--kl", "2", "--kg", "3", "--kc", "4",
+        "--lambda-beta", "5.0", "--lambda-delta", "2.5",
+        "--omit-timings", "--output", str(output),
+    ]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "case,message",
+        [
+            ("missing_kl", "missing required --kl"),
+            ("graph_and_chain", "give --graph or --chain, not both"),
+            ("unknown_config_key", "unknown config key 'bogus'"),
+            ("selftest", "invalid choice: 'selftest'"),
+        ],
+    )
+    def test_usage_errors_exit_2(self, data_files, tmp_path, capsys, case, message):
+        data, graph = data_files
+        base = ["gridsearch", "--data", data, "--graph", graph]
+        budgets = ["--kl", "2", "--kg", "3", "--kc", "4"]
+        config = tmp_path / "run.cfg"
+        config.write_text("bogus=1\n")
+        argv = {
+            "missing_kl": base + ["--kg", "3", "--kc", "4"],
+            "graph_and_chain": base + budgets + ["--chain"],
+            "unknown_config_key": base + budgets + ["--config", str(config)],
+            "selftest": ["selftest"],
+        }[case]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_missing_data_file_exits_3(self, tmp_path, capsys):
+        code = main([
+            "fit", "--data", str(tmp_path / "absent.csv"), "--chain",
+            "--kl", "1", "--kg", "1", "--kc", "0",
+        ])
+        assert code == 3
+        assert "data file not found" in capsys.readouterr().err
+
+    def test_malformed_csv_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text("vertex,y,x0\n0,1.0\n")
+        code = main([
+            "fit", "--data", str(data), "--chain",
+            "--kl", "1", "--kg", "1", "--kc", "0",
+            "--lambda-beta", "1.0", "--lambda-delta", "1.0",
+        ])
+        assert code == 3
+        assert "expected 3 fields" in capsys.readouterr().err
+
+    def test_budget_beyond_feature_count_exits_4(self, data_files, capsys):
+        data, graph = data_files
+        code = main([
+            "fit", "--data", data, "--graph", graph,
+            "--kl", "7", "--kg", "7", "--kc", "0",
+            "--lambda-beta", "1.0", "--lambda-delta", "1.0",
+        ])
+        assert code == 4
+        assert "K_L=7" in capsys.readouterr().err
+
+
+class TestReports:
+    def test_fit_with_timings_omitted_is_reproducible(self, data_files, tmp_path):
+        data, graph = data_files
+        out = tmp_path / "report.json"  # the report names its own path
+        assert main(fit_argv(data, graph, out)) == 0
+        first = out.read_bytes()
+        out.unlink()
+        assert main(fit_argv(data, graph, out)) == 0
+        assert out.read_bytes() == first
+        report = json.loads(first)
+        assert report["solver"]["status"] == "optimal"
+        assert report["solver"]["wall_time"] == 0.0
+
+    def test_flag_overrides_config_file(self, data_files, tmp_path):
+        data, graph = data_files
+        config = tmp_path / "run.cfg"
+        config.write_text("kl=1\nkg=3\nkc=4\nseed=9\n")
+        out = tmp_path / "report.json"
+        code = main([
+            "gridsearch", "--data", data, "--graph", graph,
+            "--config", str(config), "--kl", "2", "--output", str(out),
+        ])
+        assert code == 0
+        resolved = json.loads(out.read_text())["config"]
+        assert (resolved["kl"], resolved["kg"], resolved["kc"]) == (2, 3, 4)
+        assert resolved["seed"] == 9

@@ -12,7 +12,6 @@ from slowreg import (
 )
 from slowreg.dataio import (
     dump_dataset,
-    load_instance,
     read_beta_csv,
     read_data_csv,
     read_edge_list,
@@ -231,36 +230,6 @@ class TestBetaCsv:
         np.testing.assert_array_equal(read_beta_csv(path), beta)
 
 
-class TestLoadInstance:
-    def test_chain_flag(self, tmp_path):
-        instance = make_instance(T=3, D=2, N=5, seed=53)
-        data = tmp_path / "d.csv"
-        write_data_csv(data, instance.x_blocks, instance.y_blocks)
-        inst = load_instance(data, 2.0, 0.5, chain=True)
-        assert inst.graph.is_chain()
-        assert inst.lambda_beta == 2.0
-
-    def test_requires_graph_choice(self, tmp_path):
-        instance = make_instance(T=2, D=2, N=4, seed=54)
-        data = tmp_path / "d.csv"
-        write_data_csv(data, instance.x_blocks, instance.y_blocks)
-        with pytest.raises(ValueError):
-            load_instance(data, 1.0, 0.0)
-        g = tmp_path / "g.txt"
-        g.write_text("0 1\n")
-        with pytest.raises(ValueError):
-            load_instance(data, 1.0, 0.0, graph_path=g, chain=True)
-
-    def test_graph_file(self, tmp_path):
-        instance = make_instance(T=3, D=2, N=4, seed=55)
-        data = tmp_path / "d.csv"
-        write_data_csv(data, instance.x_blocks, instance.y_blocks)
-        g = tmp_path / "g.txt"
-        g.write_text("0 2\n")
-        inst = load_instance(data, 1.0, 0.25, graph_path=g)
-        assert inst.graph.edges == ((0, 2),)
-
-
 class TestDumpDataset:
     def test_dump_and_reload_matches_quadform(self, tmp_path):
         ds = make_synthetic_dataset(
@@ -268,11 +237,13 @@ class TestDumpDataset:
         )
         paths = dump_dataset(tmp_path / "run", ds)
         assert set(paths) == {"train", "test", "beta", "graph", "meta"}
-        inst = load_instance(
-            paths["train"],
-            ds.instance.lambda_beta,
-            ds.instance.lambda_delta,
-            graph_path=paths["graph"],
+        xs, ys = read_data_csv(paths["train"])
+        inst = ProblemInstance(
+            graph=read_edge_list(paths["graph"], len(xs)),
+            x_blocks=tuple(xs),
+            y_blocks=tuple(ys),
+            lambda_beta=ds.instance.lambda_beta,
+            lambda_delta=ds.instance.lambda_delta,
         )
         qa, qb = build_quadform(ds.instance), build_quadform(inst)
         np.testing.assert_array_equal(qb.mu, qa.mu)

@@ -22,7 +22,7 @@ from slowreg.master import (
     initial_cuts,
     solve_support_selection,
 )
-from slowreg.simplex import solve_boxed_lp
+from slowreg.simplex import LPResult, solve_boxed_lp
 
 from util import (
     budget_patterns,
@@ -414,6 +414,17 @@ class TestTermination:
         assert res.status == "optimal"
         assert res.upper_bound == pytest.approx(best_cost, abs=1e-8)
         assert res.lower_bound <= best_cost + 1e-8
+
+    def test_exhausted_search_without_incumbent_is_an_internal_error(self, monkeypatch):
+        # z = 0 keeps the root LP feasible, so an empty heap without an
+        # incumbent can only come from a fault in the node LPs
+        def always_infeasible(lp, start=None):
+            return LPResult("infeasible", None, np.nan, 0, None, False)
+
+        monkeypatch.setattr(master, "solve_boxed_lp", always_infeasible)
+        _, qf, budget = small_setup(49)
+        with pytest.raises(RuntimeError, match="without an incumbent"):
+            solve_support_selection(qf, budget, limits=TIGHT)
 
 
 def weak_chain_setup(seed):

@@ -14,10 +14,9 @@ from slowreg import (
     eval_cost_fractional,
     eval_gradient,
     evaluate,
-    relaxation_family_value,
     true_objective,
-    verify_penrose,
 )
+from slowreg.oracle import relaxation_family_value, verify_penrose
 
 from util import make_instance, random_graph, restricted_cost_reference
 

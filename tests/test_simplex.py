@@ -6,7 +6,7 @@ from scipy.optimize import linprog
 
 from slowreg.simplex import BoxedLinearProgram, _Simplex, solve_boxed_lp
 
-STATUS_FROM_SCIPY = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+STATUS_FROM_SCIPY = {0: "optimal", 2: "infeasible"}
 
 
 def reference_solve(lp):
@@ -37,6 +37,8 @@ def random_lp(rng, force_feasible):
     else:
         b = a @ x0 + rng.uniform(-3.0, 2.0, size=m)
     c = rng.normal(size=n)
+    # a column without an upper bound must not pay to grow
+    c[np.isinf(upper)] = np.abs(c[np.isinf(upper)])
     return BoxedLinearProgram(c=c, a=a, b=b, lower=lower, upper=upper)
 
 
@@ -92,8 +94,8 @@ class TestHandCases:
         assert res.status == "optimal"
         assert res.objective == pytest.approx(-1.0, abs=1e-12)
 
-    def test_phase_one_required(self):
-        # second row is violated at the lower-bound start
+    def test_dual_cold_start_repairs_violated_row(self):
+        # second row is violated at the slack basis, which the dual phase repairs
         lp = BoxedLinearProgram(
             c=[1.0, 2.0],
             a=[[1.0, 1.0], [-1.0, -1.0]],
@@ -105,6 +107,20 @@ class TestHandCases:
         assert res.status == "optimal"
         # x must sit on the segment x0 + x1 = 1; cheapest is (1, 0)
         assert res.objective == pytest.approx(1.0, abs=1e-9)
+
+    def test_dual_ratio_tie_takes_largest_pivot(self):
+        # both columns are free of cost, so their dual ratios tie at zero;
+        # entering x0 on its 1e-6 pivot would put it at 5e5
+        lp = BoxedLinearProgram(
+            c=[0.0, 0.0],
+            a=[[-1e-6, -1.0]],
+            b=[-0.5],
+            lower=[0.0, 0.0],
+            upper=[1e6, 1e6],
+        )
+        res = solve_boxed_lp(lp)
+        assert res.status == "optimal"
+        assert res.x == pytest.approx([0.0, 0.5], abs=1e-12)
 
     def test_infeasible_rows(self):
         lp = BoxedLinearProgram(
@@ -119,15 +135,22 @@ class TestHandCases:
         assert res.x is None
 
     def test_unbounded(self):
-        lp = BoxedLinearProgram(
-            c=[-1.0],
-            a=[[0.0]],
-            b=[1.0],
-            lower=[0.0],
-            upper=[np.inf],
-        )
-        res = solve_boxed_lp(lp)
-        assert res.status == "unbounded"
+        # a negative cost on a column without an upper bound is refused
+        with pytest.raises(ValueError, match="finite upper bound"):
+            BoxedLinearProgram(
+                c=[-1.0],
+                a=[[0.0]],
+                b=[1.0],
+                lower=[0.0],
+                upper=[np.inf],
+            )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_slack_start_is_dual_feasible(self, seed):
+        lp = random_lp(np.random.default_rng(seed), force_feasible=False)
+        sx = _Simplex(lp)
+        sx.slack_start()
+        assert sx.dual_feasible()
 
     def test_bound_flip_only(self):
         # no row ever binds; optimum is a pure bound flip to the upper bound
@@ -180,7 +203,7 @@ class TestHandCases:
             ],
             b=[0.0, 0.0, 1.0],
             lower=[0.0, 0.0, 0.0, 0.0],
-            upper=[np.inf, np.inf, np.inf, np.inf],
+            upper=[10.0, np.inf, 10.0, np.inf],
         )
         res = solve_boxed_lp(lp)
         ref = reference_solve(lp)
@@ -206,8 +229,6 @@ class TestWarmStarts:
         rng = np.random.default_rng(100 + seed)
         lp = random_lp(rng, force_feasible=True)
         first = solve_boxed_lp(lp)
-        if first.status != "optimal":
-            pytest.skip("random draw not bounded")
         lp2 = BoxedLinearProgram(
             c=lp.c + 0.1 * rng.normal(size=lp.n),
             a=lp.a,
@@ -227,8 +248,6 @@ class TestWarmStarts:
         rng = np.random.default_rng(200 + seed)
         lp = random_lp(rng, force_feasible=True)
         first = solve_boxed_lp(lp)
-        if first.status != "optimal":
-            pytest.skip("random draw not bounded")
         row = rng.normal(size=lp.n)
         rhs = float(row @ first.x) - 1.0  # cuts off the old optimum
         lp2 = BoxedLinearProgram(
@@ -356,7 +375,7 @@ class TestDualWarmStart:
         assert res.x is None
 
     def test_unusable_start_falls_back_to_slack_basis(self):
-        # a basis that is neither primal nor dual feasible for the new costs
+        # a basis that is not dual feasible for the new costs
         lp = BoxedLinearProgram(
             c=[-1.0, -1.0], a=[[1.0, 1.0]], b=[1.0],
             lower=[0.0, 0.0], upper=[1.0, 1.0],
@@ -380,8 +399,8 @@ class TestBasisMatrix:
             lower=np.zeros(n), upper=np.ones(n),
         )
         sx = _Simplex(lp)
-        # structural, slack and artificial columns in a shuffled order
-        sx.basis = np.array([3, n + 1, n + m + 2, 0, n + 5, n + m + 4])
+        # structural and slack columns in a shuffled order
+        sx.basis = np.array([3, n + 1, n + 2, 0, n + 5, 1])
         reference = np.column_stack([sx.column(int(j)) for j in sx.basis])
         assert np.array_equal(sx.basis_matrix(), reference)
 
@@ -399,6 +418,34 @@ class TestPointCheck:
         monkeypatch.setattr(_Simplex, "assemble", lambda self: np.array(point))
         with pytest.raises(RuntimeError, match=message):
             solve_boxed_lp(lp)
+
+    # draws whose optimal basis holds a structural column, so that moving the
+    # basic values moves the point
+    @pytest.mark.parametrize("seed", [0, 2, 4, 5, 9])
+    def test_drifted_basic_values_are_refactored(self, monkeypatch, seed):
+        # knock the basic values off after the first primal phase, as a
+        # drifted inverse would; one refactor must bring back the optimum
+        lp = random_lp(np.random.default_rng(seed), force_feasible=True)
+        clean = solve_boxed_lp(lp)
+        primal_phase, violation = _Simplex.primal_phase, _Simplex.violation
+        found = []
+
+        def drifting(self):
+            primal_phase(self)
+            if not found:
+                self.x_b = self.x_b - 10.0
+
+        def recording(self, x):
+            found.append(violation(self, x))
+            return found[-1]
+
+        monkeypatch.setattr(_Simplex, "primal_phase", drifting)
+        monkeypatch.setattr(_Simplex, "violation", recording)
+        res = solve_boxed_lp(lp)
+        assert found[0] is not None and found[-1] is None
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(clean.objective, abs=1e-9)
+        assert_feasible(lp, res.x)
 
 
 class TestValidation:
