@@ -5,21 +5,24 @@ its epigraph: a master LP over [eta, z, s, w] where s are global-support
 indicators, w are per-edge change indicators, and eta underestimates the
 convex support-cost function via an accumulating pool of gradient cuts.
 Cuts are supporting hyperplanes of c, hence valid in every node, so a single
-tree shares one pool. A node whose LP relaxation turns integral either adds
-a violated cut and re-solves in place or certifies an incumbent and closes.
-Nodes are explored best bound first.
+tree shares one pool. The pool keeps one `Cut` per anchor, keyed by the
+anchor's bytes; that record also holds the anchor's exact cost, so an
+integral point that is already an anchor closes its node without another
+oracle call. A warm start contributes the first cut. A node whose LP
+relaxation turns integral either adds a violated cut and re-solves in place
+or certifies an incumbent and closes. Nodes are explored best bound first.
 
-Every node LP runs through the simplex's bounded dual phase. The root's
-first LP starts from the slack basis, which is dual feasible because the
-only cost is the +1 on eta (c = e_0) and eta starts at its lower bound.
-Every later LP is warm-started from an optimal basis. The re-solve after a
-cut passes the previous result's state, and a child node carries its
-parent's final state (the basis and the at-upper flags, not the basis
-inverse, so a waiting node costs about a kilobyte). The simplex extends a
-state by the rows appended since. A child differs from its parent by one
-tightened bound on the branched z, which is basic and fractional in the
-parent's basis, so that basis is dual but not primal feasible and a few
-dual pivots re-solve it.
+Every node LP runs through the simplex's bounded dual phase, which needs a
+dual feasible start. The root's first LP starts from the slack basis, which
+is dual feasible because the only cost is the +1 on eta (c = e_0) and eta
+starts at its lower bound. Every later LP is warm-started from an optimal
+basis. The re-solve after a cut passes the previous result's
+state: the new cut row enters with its slack basic, and the reduced costs do
+not change. A child node carries its parent's final state (the basis and the
+at-upper flags, not the basis inverse, so a waiting node costs about a
+kilobyte). It differs from its parent by one tightened bound on the branched
+z, which is basic and fractional in the parent's basis, so that basis is
+dual but not primal feasible and a few dual pivots re-solve it.
 
 The root LP is always feasible: z = 0 meets every budget that `validate`
 accepts. So a search whose heap runs dry is optimal; only child nodes can
@@ -59,24 +62,6 @@ class Cut:
     def evaluate(self, z: np.ndarray) -> float:
         diff = z.astype(np.float64) - self.anchor.astype(np.float64)
         return self.value + float(self.gradient @ diff)
-
-
-def initial_cuts(qf: QuadForm, warm_starts) -> list[Cut]:
-    """Cuts anchored at one or more warm-start supports, deduplicated."""
-    if isinstance(warm_starts, np.ndarray) and warm_starts.ndim == 1:
-        warm_starts = [warm_starts]
-    cuts: list[Cut] = []
-    seen: set[bytes] = set()
-    for z in warm_starts:
-        zb = np.ascontiguousarray(np.asarray(z).ravel().astype(bool))
-        key = zb.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        ev = evaluate(qf, zb)
-        grad = eval_gradient(qf, zb, ev.cache)
-        cuts.append(Cut(anchor=zb, value=ev.cost, gradient=grad))
-    return cuts
 
 
 @dataclass(frozen=True)
@@ -146,8 +131,7 @@ class MasterProgram:
         self.upper = np.ones(self.n_vars)
         self.upper[0] = np.inf
 
-        self._cut_costs: dict[bytes, float] = {}
-        self.cuts: list[Cut] = []
+        self.cuts: dict[bytes, Cut] = {}  # keyed by the anchor's bytes
 
     def _fill_base_rows(self) -> None:
         a, b = self._a, self._b
@@ -185,18 +169,16 @@ class MasterProgram:
 
     @property
     def cut_count(self) -> int:
-        return len(self._cut_costs)
-
-    def has_cut(self, anchor: np.ndarray) -> bool:
-        return anchor.tobytes() in self._cut_costs
+        return len(self.cuts)
 
     def known_cost(self, anchor: np.ndarray) -> float | None:
-        return self._cut_costs.get(anchor.tobytes())
+        cut = self.cuts.get(anchor.tobytes())
+        return None if cut is None else cut.value
 
     def add_cut(self, anchor: np.ndarray, cost: float, gradient: np.ndarray) -> bool:
         """Append eta >= cost + gradient'(z - anchor), row-scaled to O(1)."""
         key = anchor.tobytes()
-        if key in self._cut_costs:
+        if key in self.cuts:
             return False
         if self.m == self._a.shape[0]:
             grown_a = np.zeros((2 * self._a.shape[0], self.n_vars))
@@ -211,10 +193,9 @@ class MasterProgram:
         self._a[row, self.z0 : self.s0] = gradient / sigma
         self._b[row] = (float(gradient @ zf) - cost) / sigma
         self.m += 1
-        self._cut_costs[key] = cost
-        self.cuts.append(
-            Cut(anchor=anchor.astype(bool).copy(), value=cost,
-                gradient=np.asarray(gradient, dtype=np.float64).copy())
+        self.cuts[key] = Cut(
+            anchor=anchor.astype(bool).copy(), value=cost,
+            gradient=np.asarray(gradient, dtype=np.float64).copy(),
         )
         return True
 
@@ -271,10 +252,10 @@ def solve_support_selection(
             raise ValueError("warm start length does not match the problem")
         if not check_feasible(zb, budget, qf.graph):
             raise BudgetError("warm start violates the sparsity budgets")
-        seed = initial_cuts(qf, zb)[0]
-        mp.add_cut(seed.anchor, seed.value, seed.gradient)
+        ev = evaluate(qf, zb)
+        mp.add_cut(zb, ev.cost, eval_gradient(qf, zb, ev.cache))
         incumbent = zb
-        upper = seed.value
+        upper = ev.cost
 
     seq = 0
     root = _Node(
@@ -378,5 +359,5 @@ def solve_support_selection(
         cut_count=mp.cut_count,
         wall_time=elapsed(),
         history=history,
-        cuts=mp.cuts,
+        cuts=list(mp.cuts.values()),
     )

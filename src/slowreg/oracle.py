@@ -71,48 +71,49 @@ def _diag_block(qf: QuadForm, t: int, sel: np.ndarray) -> np.ndarray:
     return block
 
 
-def _solve_restricted(qf: QuadForm, zb: np.ndarray, method: str) -> np.ndarray:
+def _chain_solve(qf: QuadForm, sel: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """Restricted solve on a chain graph: the system is block tridiagonal."""
+    T = qf.vertex_count
+    diag = [_diag_block(qf, t, sel[t]) for t in range(T)]
+    sub = [
+        -qf.lambda_delta
+        * (sel[t + 1][:, None] == sel[t][None, :]).astype(np.float64)
+        for t in range(T - 1)
+    ]
+    return solve_spd_block_tridiagonal(diag, sub, rhs)
+
+
+def _generic_solve(qf: QuadForm, sel: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """Restricted solve on any graph: assemble the system densely and factor it."""
+    T = qf.vertex_count
+    offsets = np.concatenate([[0], np.cumsum([len(s) for s in sel])])
+    a = np.zeros((rhs.size, rhs.size))
+    for t in range(T):
+        a[offsets[t]:offsets[t + 1], offsets[t]:offsets[t + 1]] = _diag_block(
+            qf, t, sel[t]
+        )
+    for s, t in qf.graph.edges:
+        if len(sel[s]) == 0 or len(sel[t]) == 0:
+            continue
+        match = sel[t][:, None] == sel[s][None, :]
+        rows, cols = np.nonzero(match)
+        a[offsets[t] + rows, offsets[s] + cols] = -qf.lambda_delta
+        a[offsets[s] + cols, offsets[t] + rows] = -qf.lambda_delta
+    return cho_solve(cho_factor(a), rhs)
+
+
+def _solve_restricted(qf: QuadForm, zb: np.ndarray) -> np.ndarray:
     """v0 = (lambda_beta I + M_zz)^{-1} mu_z, embedded into (T*D,)."""
     T, D = qf.vertex_count, qf.feature_count
     sel = _selected(qf, zb)
     v0 = np.zeros(T * D)
-    total = sum(len(s) for s in sel)
-    if total == 0:
+    if sum(len(s) for s in sel) == 0:
         return v0
 
-    if method == "auto":
-        method = "chain" if qf.graph.is_chain() else "generic"
-
     mu_g = qf.mu.reshape(T, D)
-    if method == "chain":
-        if not qf.graph.is_chain():
-            raise ValueError("chain path requested for a non-chain graph")
-        diag = [_diag_block(qf, t, sel[t]) for t in range(T)]
-        sub = [
-            -qf.lambda_delta
-            * (sel[t + 1][:, None] == sel[t][None, :]).astype(np.float64)
-            for t in range(T - 1)
-        ]
-        rhs = np.concatenate([mu_g[t][sel[t]] for t in range(T)])
-        x = solve_spd_block_tridiagonal(diag, sub, rhs)
-    elif method == "generic":
-        offsets = np.concatenate([[0], np.cumsum([len(s) for s in sel])])
-        a = np.zeros((total, total))
-        for t in range(T):
-            a[offsets[t]:offsets[t + 1], offsets[t]:offsets[t + 1]] = _diag_block(
-                qf, t, sel[t]
-            )
-        for s, t in qf.graph.edges:
-            if len(sel[s]) == 0 or len(sel[t]) == 0:
-                continue
-            match = sel[t][:, None] == sel[s][None, :]
-            rows, cols = np.nonzero(match)
-            a[offsets[t] + rows, offsets[s] + cols] = -qf.lambda_delta
-            a[offsets[s] + cols, offsets[t] + rows] = -qf.lambda_delta
-        rhs = np.concatenate([mu_g[t][sel[t]] for t in range(T)])
-        x = cho_solve(cho_factor(a), rhs)
-    else:
-        raise ValueError(f"unknown oracle method {method!r}")
+    rhs = np.concatenate([mu_g[t][sel[t]] for t in range(T)])
+    solve = _chain_solve if qf.graph.is_chain() else _generic_solve
+    x = solve(qf, sel, rhs)
 
     pos = 0
     v0g = v0.reshape(T, D)
@@ -123,16 +124,16 @@ def _solve_restricted(qf: QuadForm, zb: np.ndarray, method: str) -> np.ndarray:
     return v0
 
 
-def evaluate(qf: QuadForm, z: np.ndarray, method: str = "auto") -> OracleEvaluation:
+def evaluate(qf: QuadForm, z: np.ndarray) -> OracleEvaluation:
     """Cost of a binary support pattern plus reusable solve state."""
     zb = _as_support(z, qf.vertex_count * qf.feature_count)
-    v0 = _solve_restricted(qf, zb, method)
+    v0 = _solve_restricted(qf, zb)
     cost = -0.5 * float(qf.mu @ v0)
     return OracleEvaluation(cost=cost, cache=OracleCache(key=zb.tobytes(), v0=v0, cost=cost))
 
 
-def eval_cost(qf: QuadForm, z: np.ndarray, method: str = "auto") -> float:
-    return evaluate(qf, z, method).cost
+def eval_cost(qf: QuadForm, z: np.ndarray) -> float:
+    return evaluate(qf, z).cost
 
 
 def eval_gradient(qf: QuadForm, z: np.ndarray, cache: OracleCache) -> np.ndarray:
@@ -150,10 +151,10 @@ def eval_gradient(qf: QuadForm, z: np.ndarray, cache: OracleCache) -> np.ndarray
     return 0.5 * v1 * (v2 - qf.mu)
 
 
-def beta_star(qf: QuadForm, z: np.ndarray, method: str = "auto") -> np.ndarray:
+def beta_star(qf: QuadForm, z: np.ndarray) -> np.ndarray:
     """Optimal coefficients restricted to the support: exact zeros off it."""
     zb = _as_support(z, qf.vertex_count * qf.feature_count)
-    return _solve_restricted(qf, zb, method)
+    return _solve_restricted(qf, zb)
 
 
 def eval_cost_fractional(qf: QuadForm, z: np.ndarray) -> float:

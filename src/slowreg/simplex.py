@@ -13,25 +13,25 @@ prefers (the upper one for a negative cost): the reduced costs are then c
 itself. So every solve takes one path. It installs a basis: the given start,
 extended by any rows appended since (each enters with its slack basic), if
 that basis is dual feasible, which holds after a tightened bound (a child
-node) or an appended row (a new cut); the slack basis otherwise. A bounded
-dual simplex then restores primal feasibility: the basic variable furthest
-outside its bounds leaves, and a dual ratio test picks the column that
-enters, so a violated row is just one more infeasible basic slack. No
-eligible column means the program is infeasible. Last, primal simplex
-clears any reduced cost that round-off left with the wrong sign.
-`LPResult.warm` says whether the start was used.
+node) or an appended row (a new cut); the slack basis otherwise.
+`LPResult.warm` says whether the start was used. A bounded dual simplex then
+restores primal feasibility: the basic variable furthest outside its bounds
+leaves, and a dual ratio test picks the column that enters, so a violated
+row is just one more infeasible basic slack. No eligible column means the
+program is infeasible.
 
-Primal pricing is Dantzig's rule with ties broken toward the lowest column
-index, switching to Bland's rule once the degenerate-step count passes 10x
-the column count. The dual ratio test is Harris's: of the columns whose
-reduced cost reaches zero within the dual tolerance of the first, it takes
-the largest pivot, ties again toward the lowest index. All tie-breaks are
-index-ordered, so repeated solves of the same data are bit-identical. Both
-ratio tests only pivot on entries that are large relative to the rest of
-their column or row, so a near-singular basis cannot be formed. The rank-one
-updates of the inverse can still drift: if the final point leaves its box or
-rows beyond round-off, the inverse is recomputed once and both phases go on
-from that basis, and a point that still misses raises instead of coming back
+The dual ratio test is Harris's: of the columns whose reduced cost reaches
+zero within the dual tolerance of the first, it takes the largest pivot,
+ties toward the lowest index. It never pivots on an entry that is tiny next
+to the rest of its row, so a near-singular basis cannot be formed. But the
+reduced cost of such a skipped column still moves by the dual step times
+that entry, and a long step can leave it with the wrong sign. So a primal
+simplex under Bland's rule runs last; it rarely has anything to do, and
+then one or two pivots. All tie-breaks are index-ordered, so repeated
+solves of the same data are bit-identical. The rank-one updates of the
+inverse can still drift: if the final point leaves its box or rows beyond
+round-off, the inverse is recomputed once and both phases go on from that
+basis, and a point that still misses raises instead of coming back
 "optimal".
 """
 
@@ -43,7 +43,6 @@ import numpy as np
 
 _PIVOT_TOL = 1e-9
 _DUAL_TOL = 1e-9
-_DEG_STEP = 1e-11
 _REFACTOR_EVERY = 128
 _CHECK_TOL = 1e-7  # times the data scale, like the feasibility tolerance
 
@@ -125,7 +124,6 @@ class _Simplex:
         self.binv: np.ndarray | None = None
         self.x_b: np.ndarray | None = None
         self.iterations = 0
-        self.degenerate = 0
 
     # -- columns ----------------------------------------------------------
 
@@ -172,13 +170,7 @@ class _Simplex:
 
     def slack_start(self) -> None:
         """Slack basis, each structural variable at the bound its cost prefers."""
-        self.basis = self.n + np.arange(self.m)
-        self.at_upper[:] = False
-        self.at_upper[: self.n] = self.c[: self.n] < 0.0
-        self.in_basis[:] = False
-        self.in_basis[self.basis] = True
-        self.binv = np.eye(self.m)
-        self.x_b = self.compute_x_b()
+        self.install(self.n + np.arange(self.m), self.c < 0.0)
 
     def warm_start(self, state: LPState) -> bool:
         """Install a previous solve's basis; report whether it is dual feasible.
@@ -201,10 +193,13 @@ class _Simplex:
     def movable(self) -> np.ndarray:
         return (~self.in_basis) & (self.upper > self.lower)
 
-    def dual_feasible(self) -> bool:
+    def dual_excess(self) -> np.ndarray:
+        """How far each movable nonbasic reduced cost has the wrong sign."""
         d = self.reduced_costs()
-        viol = np.where(self.at_upper, d, -d)
-        return not np.any(self.movable() & (viol > _DUAL_TOL))
+        return np.where(self.movable(), np.where(self.at_upper, d, -d), 0.0)
+
+    def dual_feasible(self) -> bool:
+        return not np.any(self.dual_excess() > _DUAL_TOL)
 
     # -- phases -----------------------------------------------------------
 
@@ -292,73 +287,51 @@ class _Simplex:
                 since_refactor = 0
 
     def primal_phase(self) -> None:
-        """Primal simplex from a primal feasible basis to an optimal one."""
-        bland = False
+        """Primal simplex from a primal feasible basis to an optimal one.
+
+        Bland's rule: the lowest-indexed column whose reduced cost has the
+        wrong sign enters, and of the rows that block together the one with
+        the lowest basic column leaves, so degenerate steps cannot cycle.
+        """
         since_refactor = 0
         while True:
+            wrong = np.flatnonzero(self.dual_excess() > _DUAL_TOL)
+            if wrong.size == 0:
+                return
             if self.iterations >= self.max_iter:
                 raise RuntimeError("simplex iteration limit exceeded")
-            d = self.reduced_costs()
-            viol = np.where(self.at_upper, d, -d)
-            candidates = self.movable() & (viol > _DUAL_TOL)
-            if not np.any(candidates):
-                return
-            if bland:
-                enter = int(np.flatnonzero(candidates)[0])
-            else:
-                masked = np.where(candidates, viol, -np.inf)
-                enter = int(np.argmax(masked))
             self.iterations += 1
-
+            enter = int(wrong[0])
             alpha = self.binv @ self.column(enter)
-            delta = -1.0 if self.at_upper[enter] else 1.0
-            move = delta * alpha
             # basic values travel x_b - theta * move; a pivot must be large
             # next to the column's largest entry, or the basis goes singular
+            move = -alpha if self.at_upper[enter] else alpha
             piv_tol = _PIVOT_TOL * max(1.0, float(np.max(np.abs(move), initial=0.0)))
+            fall, rise = move > piv_tol, move < -piv_tol
+            limit = np.full(self.m, np.inf)
+            limit[fall] = (self.x_b - self.lower[self.basis])[fall] / move[fall]
+            limit[rise] = (self.x_b - self.upper[self.basis])[rise] / move[rise]
             theta = self.upper[enter] - self.lower[enter]  # bound-flip distance
+            first = float(np.min(limit, initial=np.inf))
             leave_pos = -1
-            lb = self.lower[self.basis]
-            ub = self.upper[self.basis]
-            for i in range(self.m):
-                mi = move[i]
-                if mi > piv_tol:
-                    limit = (self.x_b[i] - lb[i]) / mi
-                elif mi < -piv_tol:
-                    if not np.isfinite(ub[i]):
-                        continue
-                    limit = (self.x_b[i] - ub[i]) / mi
-                else:
-                    continue
-                if limit < theta - 1e-12 or (
-                    limit < theta + 1e-12
-                    and leave_pos >= 0
-                    and self.basis[i] < self.basis[leave_pos]
-                ):
-                    theta = limit
-                    leave_pos = i
+            if first < theta - 1e-12:
+                ties = np.flatnonzero(limit < first + 1e-12)
+                leave_pos = int(ties[np.argmin(self.basis[ties])])
+                theta = limit[leave_pos]
             if not np.isfinite(theta):
                 # an improving ray, which the input check rules out
                 raise RuntimeError("simplex found no step limit in a bounded program")
             theta = max(theta, 0.0)
-            if theta < _DEG_STEP:
-                self.degenerate += 1
-                if self.degenerate > 10 * self.total:
-                    bland = True
-
+            self.x_b = self.x_b - theta * move
             if leave_pos < 0:
-                # entering variable runs to its opposite bound
-                self.x_b = self.x_b - theta * move
+                # the entering variable runs to its other bound
                 self.at_upper[enter] = not self.at_upper[enter]
                 continue
-
-            enter_val = (
+            self.x_b[leave_pos] = (
                 self.upper[enter] - theta if self.at_upper[enter]
                 else self.lower[enter] + theta
             )
-            self.x_b = self.x_b - theta * move
-            self.x_b[leave_pos] = enter_val
-            # leaving variable lands on the bound that blocked
+            # the leaving variable lands on the bound that blocked
             self.pivot(leave_pos, enter, alpha, bool(move[leave_pos] < 0))
 
             since_refactor += 1

@@ -4,7 +4,16 @@ import json
 
 import pytest
 
-from slowreg import SimilarityGraph, SparsityBudget, grid_search
+from slowreg import (
+    SimilarityGraph,
+    SolveLimits,
+    SparsityBudget,
+    build_quadform,
+    grid_search,
+    solve_support_selection,
+    stepwise_fit,
+)
+from slowreg.benchmark import SynthParams, make_synthetic_dataset
 from slowreg.cli import main
 from slowreg.dataio import write_data_csv, write_edge_list
 
@@ -139,6 +148,17 @@ class TestExitCodes:
         assert code == 4
         assert "K_L=7" in capsys.readouterr().err
 
+    def test_unexpected_exception_exits_5(self, data_files, tmp_path, capsys,
+                                          monkeypatch):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr("slowreg.cli.solve_support_selection", broken)
+        data, graph = data_files
+        assert main(fit_argv(data, graph, tmp_path / "report.json")) == 5
+        err = capsys.readouterr().err
+        assert "internal error" in err and "boom" in err
+
 
 class TestReports:
     def test_fit_with_timings_omitted_is_reproducible(self, data_files, tmp_path):
@@ -166,3 +186,34 @@ class TestReports:
         resolved = json.loads(out.read_text())["config"]
         assert (resolved["kl"], resolved["kg"], resolved["kc"]) == (2, 3, 4)
         assert resolved["seed"] == 9
+
+    def test_synth_dump_then_fit_matches_in_memory_solve(self, tmp_path):
+        prefix = tmp_path / "ds"
+        synth = [
+            "synth", "--n", "12", "--t", "3", "--d", "5",
+            "--kl", "2", "--kc", "1", "--seed", "6", "--methods", "static",
+            "--dump-data", str(prefix), "--output", str(tmp_path / "synth.json"),
+        ]
+        assert main(synth) == 0
+        out = tmp_path / "fit.json"
+        code = main([
+            "fit", "--data", f"{prefix}_train.csv", "--graph", f"{prefix}_graph.txt",
+            "--kl", "2", "--kg", "3", "--kc", "1",
+            "--lambda-beta", "4.0", "--lambda-delta", "2.0",
+            "--omit-timings", "--output", str(out),
+        ])
+        assert code == 0
+        report = json.loads(out.read_text())
+
+        dataset = make_synthetic_dataset(SynthParams(n=12, t=3, d=5, k_l=2, k_c=1, seed=6))
+        instance = dataset.instance.with_weights(4.0, 2.0)
+        budget = SparsityBudget(max_per_vertex=2, max_global=3, max_changes=1)
+        warm = stepwise_fit(instance, budget, seed=0)
+        res = solve_support_selection(
+            build_quadform(instance), budget, warm_start=warm.z,
+            limits=SolveLimits(time_limit=report["config"]["time_limit"],
+                               gap_tol=report["config"]["gap_tol"]),
+        )
+        assert report["solver"]["status"] == res.status == "optimal"
+        assert report["support"] == res.incumbent_z.reshape(3, 5).astype(int).tolist()
+        assert report["coefficients"] == res.incumbent_beta.reshape(3, 5).tolist()

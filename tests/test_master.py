@@ -19,7 +19,6 @@ from slowreg.master import (
     MasterProgram,
     SolveLimits,
     branch_variable,
-    initial_cuts,
     solve_support_selection,
 )
 from slowreg.simplex import LPResult, solve_boxed_lp
@@ -75,7 +74,6 @@ class TestMasterProgram:
         assert mp.add_cut(anchor, -1.0, grad)
         assert not mp.add_cut(anchor, -1.0, grad)
         assert mp.cut_count == 1
-        assert mp.has_cut(anchor)
         assert mp.known_cost(anchor) == -1.0
 
     def test_cut_row_scaling(self):
@@ -282,35 +280,6 @@ class TestLimitsAndDeterminism:
         assert res.wall_time >= 0.0
 
 
-class TestInitialCuts:
-    def test_empty_support_gradient_formula(self):
-        _, qf, _ = small_setup(40)
-        cuts = initial_cuts(qf, np.zeros(qf.mu.size, dtype=bool))
-        assert len(cuts) == 1
-        assert cuts[0].value == pytest.approx(0.0, abs=1e-14)
-        expected = -(qf.mu**2) / (2.0 * qf.lambda_beta)
-        np.testing.assert_allclose(cuts[0].gradient, expected, rtol=1e-12)
-
-    def test_identical_warm_starts_deduplicate(self):
-        _, qf, _ = small_setup(41)
-        z = np.zeros(qf.mu.size, dtype=bool)
-        z[[0, 5]] = True
-        cuts = initial_cuts(qf, [z, z.copy()])
-        assert len(cuts) == 1
-
-    def test_distinct_warm_starts_each_get_a_cut(self):
-        _, qf, _ = small_setup(42)
-        za = np.zeros(qf.mu.size, dtype=bool)
-        za[0] = True
-        zb = np.zeros(qf.mu.size, dtype=bool)
-        zb[1] = True
-        cuts = initial_cuts(qf, [za, zb])
-        assert len(cuts) == 2
-        for cut, z in zip(cuts, (za, zb)):
-            assert cut.value == pytest.approx(eval_cost(qf, z), abs=1e-12)
-            assert cut.evaluate(z) == pytest.approx(cut.value, abs=1e-12)
-
-
 class TestCutGeometry:
     def test_negative_gradient_cut_pulls_selection_to_one(self):
         # with a single cut whose gradient is negative everywhere and no
@@ -327,7 +296,7 @@ class TestCutGeometry:
         assert res.status == "optimal"
         z_lp = res.x[mp.z0 : mp.s0]
         np.testing.assert_allclose(z_lp, 1.0, atol=1e-9)
-        expected = mp.cuts[0].evaluate(z_lp)
+        expected = mp.cuts[anchor.tobytes()].evaluate(z_lp)
         assert res.objective == pytest.approx(expected, abs=1e-9)
 
 

@@ -16,7 +16,13 @@ from slowreg import (
     evaluate,
     true_objective,
 )
-from slowreg.oracle import relaxation_family_value, verify_penrose
+from slowreg.oracle import (
+    _chain_solve,
+    _generic_solve,
+    _selected,
+    relaxation_family_value,
+    verify_penrose,
+)
 
 from util import make_instance, random_graph, restricted_cost_reference
 
@@ -85,21 +91,21 @@ class TestChainFastPath:
         qf = build_quadform(inst)
         rng = np.random.default_rng(seed + 50)
         assert qf.graph.is_chain()
+        mu = qf.mu.reshape(5, 4)
         for _ in range(10):
-            z = rng.integers(0, 2, size=20)
-            c_chain = eval_cost(qf, z, method="chain")
-            c_generic = eval_cost(qf, z, method="generic")
-            assert c_chain == pytest.approx(c_generic, rel=1e-10, abs=1e-13)
-            b_chain = beta_star(qf, z, method="chain")
-            b_generic = beta_star(qf, z, method="generic")
-            assert np.allclose(b_chain, b_generic, rtol=1e-10, atol=1e-12)
-
-    def test_chain_path_refused_off_chain(self):
-        rng = np.random.default_rng(0)
-        inst = make_instance(T=3, D=2, N=4, seed=1, graph=SimilarityGraph(3, ((0, 2),)))
-        qf = build_quadform(inst)
-        with pytest.raises(ValueError):
-            eval_cost(qf, np.ones(6), method="chain")
+            z = rng.integers(0, 2, size=20).astype(bool)
+            if not z.any():
+                continue
+            sel = _selected(qf, z)
+            rhs = np.concatenate([mu[t][sel[t]] for t in range(5)])
+            x_chain = _chain_solve(qf, sel, rhs)
+            x_generic = _generic_solve(qf, sel, rhs)
+            assert np.allclose(x_chain, x_generic, rtol=1e-10, atol=1e-12)
+            # a chain graph takes the chain path
+            assert np.array_equal(beta_star(qf, z)[z], x_chain)
+            assert eval_cost(qf, z) == pytest.approx(
+                -0.5 * float(rhs @ x_generic), rel=1e-10, abs=1e-13
+            )
 
 
 class TestBetaStar:

@@ -448,6 +448,34 @@ class TestPointCheck:
         assert_feasible(lp, res.x)
 
 
+class TestPrimalCleanUp:
+    # the dual ratio test skips tiny pivots, so the dual phase can stop on a
+    # primal feasible basis with a reduced cost of the wrong sign; from any
+    # such basis the primal phase must reach the optimum
+    @pytest.mark.parametrize("seed", range(10))
+    def test_reaches_optimum_from_dual_infeasible_basis(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        n, m = int(rng.integers(2, 9)), int(rng.integers(1, 8))
+        upper = rng.uniform(0.5, 3.0, size=n)
+        upper[rng.random(n) < 0.25] = np.inf
+        c = rng.normal(size=n)
+        c[np.isinf(upper)] = np.abs(c[np.isinf(upper)])
+        c[0], upper[0] = -1.0, 1.0  # at least one column that pays to grow
+        lp = BoxedLinearProgram(
+            c=c, a=rng.normal(size=(m, n)), b=rng.uniform(0.0, 2.0, size=m),
+            lower=np.zeros(n), upper=upper,
+        )
+        sx = _Simplex(lp)
+        # x = 0 with every slack basic meets the rows, since b >= 0
+        sx.install(n + np.arange(m), np.zeros(n + m, dtype=bool))
+        assert not sx.dual_feasible()
+        sx.primal_phase()
+        assert sx.dual_feasible()
+        x = sx.assemble()
+        assert_feasible(lp, x)
+        assert float(lp.c @ x) == pytest.approx(reference_solve(lp).fun, abs=1e-9)
+
+
 class TestValidation:
     def test_bad_shapes(self):
         with pytest.raises(ValueError):
