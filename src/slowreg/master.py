@@ -28,6 +28,10 @@ The root LP is always feasible: z = 0 meets every budget that `validate`
 accepts. So a search whose heap runs dry is optimal; only child nodes can
 come back infeasible.
 
+The master's (rows x vars) array is dense. Its size is known from T, D and
+the edges before anything is allocated, and one that would not fit in
+physical memory raises `ProblemSizeError` instead of a `MemoryError`.
+
 Variable layout: eta at 0, z_{t,d} at 1 + t*D + d, s_d at 1 + T*D + d,
 w_{e,d} at 1 + T*D + D + e*D + d. All rows are <= rows.
 """
@@ -35,6 +39,7 @@ w_{e,d} at 1 + T*D + D + e*D + d. All rows are <= rows.
 from __future__ import annotations
 
 import heapq
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -45,6 +50,18 @@ from .problem import BudgetError, QuadForm, SparsityBudget, check_feasible
 from .simplex import BoxedLinearProgram, LPState, solve_boxed_lp
 
 _INT_TOL = 1e-6
+
+
+class ProblemSizeError(ValueError):
+    """The master program's dense array would not fit in physical memory."""
+
+
+def physical_memory_bytes() -> int | None:
+    """Installed physical memory, or None where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 @dataclass(frozen=True)
@@ -119,7 +136,7 @@ class MasterProgram:
         self.eta_lower = -0.5 * float(qf.mu @ qf.mu) / qf.lambda_beta
 
         cap = self.base_rows + 64
-        self._a = np.zeros((cap, self.n_vars))
+        self._a = self._zero_rows(cap)
         self._b = np.zeros(cap)
         self.m = self.base_rows
         self._fill_base_rows()
@@ -132,6 +149,18 @@ class MasterProgram:
         self.upper[0] = np.inf
 
         self.cuts: dict[bytes, Cut] = {}  # keyed by the anchor's bytes
+
+    def _zero_rows(self, rows: int) -> np.ndarray:
+        """A zero (rows, n_vars) array, refused before allocation if it cannot fit."""
+        nbytes = rows * self.n_vars * np.dtype(np.float64).itemsize
+        limit = physical_memory_bytes()
+        if limit is not None and nbytes > limit:
+            raise ProblemSizeError(
+                f"the exact solver's master program needs a dense {rows} x "
+                f"{self.n_vars} array ({nbytes / 2**30:.1f} GiB), more than the "
+                f"{limit / 2**30:.1f} GiB of physical memory"
+            )
+        return np.zeros((rows, self.n_vars))
 
     def _fill_base_rows(self) -> None:
         a, b = self._a, self._b
@@ -181,7 +210,7 @@ class MasterProgram:
         if key in self.cuts:
             return False
         if self.m == self._a.shape[0]:
-            grown_a = np.zeros((2 * self._a.shape[0], self.n_vars))
+            grown_a = self._zero_rows(2 * self._a.shape[0])
             grown_a[: self.m] = self._a[: self.m]
             grown_b = np.zeros(2 * self._b.size)
             grown_b[: self.m] = self._b[: self.m]

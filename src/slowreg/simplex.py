@@ -2,9 +2,18 @@
 
 Solves   min c'x   s.t.  A x <= b,  lower <= x <= upper
 
-by appending one slack per row and keeping an explicit basis inverse
-(rank-one updates, periodic refactorization). Column numbering: structural
-0..n-1, slacks n..n+m-1. This numbering stays private to this module.
+by appending one slack per row. Column numbering: structural 0..n-1, slacks
+n..n+m-1. This numbering stays private to this module.
+
+The solver keeps an explicit m x m basis inverse and updates it by a rank-one
+step per pivot. It rebuilds the inverse when it installs a basis, every 128
+pivots, and once more if the final point has drifted. A rebuild inverts only
+the structural block: with k structural columns basic, the k rows whose
+slack is nonbasic give a k x k matrix A_QS, and the rest of the inverse
+follows from it and the identity of the basic slacks. A rebuild also
+recomputes the basic values and the reduced costs. Between rebuilds, each
+dual pivot carries the reduced costs along with the pivot row it already
+computes for the ratio test, so c_B B^-1 A is not formed again.
 
 Every lower bound must be finite, and so must the upper bound of every
 column with a negative cost. Such a program is bounded, and its slack basis
@@ -26,13 +35,13 @@ ties toward the lowest index. It never pivots on an entry that is tiny next
 to the rest of its row, so a near-singular basis cannot be formed. But the
 reduced cost of such a skipped column still moves by the dual step times
 that entry, and a long step can leave it with the wrong sign. So a primal
-simplex under Bland's rule runs last; it rarely has anything to do, and
-then one or two pivots. All tie-breaks are index-ordered, so repeated
-solves of the same data are bit-identical. The rank-one updates of the
-inverse can still drift: if the final point leaves its box or rows beyond
-round-off, the inverse is recomputed once and both phases go on from that
-basis, and a point that still misses raises instead of coming back
-"optimal".
+simplex under Bland's rule runs last, on freshly computed reduced costs; it
+rarely has anything to do, and then one or two pivots. All tie-breaks are
+index-ordered, so repeated solves of the same data are bit-identical. The
+rank-one updates of the inverse can still drift: if the final point leaves
+its box or rows beyond round-off, the inverse is rebuilt once and both
+phases go on from that basis, and a point that still misses raises instead
+of coming back "optimal".
 """
 
 from __future__ import annotations
@@ -111,6 +120,7 @@ class _Simplex:
         self.lower = np.concatenate([lp.lower, np.zeros(self.m)])
         self.upper = np.concatenate([lp.upper, np.full(self.m, np.inf)])
         self.c = np.concatenate([lp.c, np.zeros(self.m)])
+        self.spans = self.upper > self.lower
         self.scale = max(
             1.0,
             float(np.max(np.abs(self.b), initial=0.0)),
@@ -123,6 +133,7 @@ class _Simplex:
         self.in_basis = np.zeros(self.total, dtype=bool)
         self.binv: np.ndarray | None = None
         self.x_b: np.ndarray | None = None
+        self.d: np.ndarray | None = None  # reduced costs
         self.iterations = 0
 
     # -- columns ----------------------------------------------------------
@@ -133,14 +144,6 @@ class _Simplex:
         col = np.zeros(self.m)
         col[j - self.n] = 1.0
         return col
-
-    def basis_matrix(self) -> np.ndarray:
-        bm = np.zeros((self.m, self.m))
-        struct = self.basis < self.n
-        bm[:, struct] = self.a[:, self.basis[struct]]
-        pos = np.flatnonzero(~struct)
-        bm[self.basis[pos] - self.n, pos] = 1.0
-        return bm
 
     # -- state assembly ---------------------------------------------------
 
@@ -157,8 +160,27 @@ class _Simplex:
         return self.binv @ rhs
 
     def refactor(self) -> None:
-        self.binv = np.linalg.inv(self.basis_matrix())
+        """Rebuild the basis inverse from its structural block, then x_B and d.
+
+        With S the basis slots of the k structural columns, Q the k rows
+        whose slack is nonbasic and P the other rows, the basis is, up to
+        ordering, [[A_QS, 0], [A_PS, I]]; its inverse is
+        [[A_QS^-1, 0], [-A_PS A_QS^-1, I]], so only a k x k block is inverted.
+        """
+        basis = self.basis
+        s_pos = np.flatnonzero(basis < self.n)
+        p_pos = np.flatnonzero(basis >= self.n)
+        p_rows = basis[p_pos] - self.n
+        q_rows = np.flatnonzero(~self.in_basis[self.n :])
+        a_s = self.a[:, basis[s_pos]]
+        inv_qs = np.linalg.inv(a_s[q_rows])
+        binv = np.zeros((self.m, self.m))
+        binv[np.ix_(s_pos, q_rows)] = inv_qs
+        binv[np.ix_(p_pos, q_rows)] = -(a_s[p_rows] @ inv_qs)
+        binv[p_pos, p_rows] = 1.0
+        self.binv = binv
         self.x_b = self.compute_x_b()
+        self.d = self.reduced_costs()
 
     def install(self, basis: np.ndarray, at_upper: np.ndarray) -> None:
         self.basis = basis.astype(np.int64).copy()
@@ -191,11 +213,11 @@ class _Simplex:
         return self.dual_feasible()
 
     def movable(self) -> np.ndarray:
-        return (~self.in_basis) & (self.upper > self.lower)
+        return self.spans & ~self.in_basis
 
     def dual_excess(self) -> np.ndarray:
         """How far each movable nonbasic reduced cost has the wrong sign."""
-        d = self.reduced_costs()
+        d = self.d
         return np.where(self.movable(), np.where(self.at_upper, d, -d), 0.0)
 
     def dual_feasible(self) -> bool:
@@ -225,7 +247,7 @@ class _Simplex:
         row = self.binv[pos] / piv
         alpha = alpha.copy()
         alpha[pos] = piv - 1.0
-        self.binv -= np.outer(alpha, row)
+        self.binv -= alpha[:, None] * row
 
     def dual_phase(self) -> bool:
         """Bounded dual simplex from a dual feasible basis to a primal feasible one.
@@ -243,7 +265,7 @@ class _Simplex:
             below = lb - self.x_b
             above = self.x_b - ub
             excess = np.maximum(below, above)
-            r = int(np.argmax(excess))
+            r = int(excess.argmax())
             if excess[r] <= self.feas_tol:
                 return True
             if self.iterations >= self.max_iter:
@@ -257,19 +279,25 @@ class _Simplex:
             movable = self.movable()
             # rate at which x_b[r] moves toward its violated bound per unit step
             rate = -sign * delta * alpha_r
-            row_max = float(np.max(np.abs(alpha_r[movable]), initial=0.0))
+            row_max = float(np.abs(alpha_r[movable]).max(initial=0.0))
             eligible = movable & (rate > _PIVOT_TOL * max(1.0, row_max))
-            if not np.any(eligible):
+            if not eligible.any():
                 return False
             # d * delta >= 0 on a dual feasible basis, up to round-off
-            slack_d = np.maximum(self.reduced_costs() * delta, 0.0)
+            slack_d = np.maximum(self.d * delta, 0.0)
             # Harris's two passes: the step limit with each reduced cost
             # relaxed by the tolerance, then the largest pivot within it. Most
             # costs are zero, so plain ratios tie often, and the lowest index
             # among ties can be a tiny pivot that blows up binv.
-            limit = np.min((slack_d[eligible] + _DUAL_TOL) / rate[eligible])
+            limit = ((slack_d[eligible] + _DUAL_TOL) / rate[eligible]).min()
             near = eligible & (slack_d <= limit * rate)
-            enter = int(np.argmax(np.where(near, rate, -np.inf)))
+            enter = int((rate * near).argmax())  # near rates are all positive
+            # the pivot row carries the reduced costs: the entering one drops
+            # to zero and the leaving column takes its dual step
+            theta_d = self.d[enter] / alpha_r[enter]
+            self.d -= theta_d * alpha_r
+            self.d[enter] = 0.0
+            self.d[self.basis[r]] = -theta_d
 
             alpha = self.binv @ self.column(enter)
             # signed move of the entering variable that puts x_b[r] on its bound
@@ -295,6 +323,7 @@ class _Simplex:
         """
         since_refactor = 0
         while True:
+            self.d = self.reduced_costs()
             wrong = np.flatnonzero(self.dual_excess() > _DUAL_TOL)
             if wrong.size == 0:
                 return

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from slowreg import (
@@ -14,6 +15,7 @@ from slowreg import (
     stepwise_fit,
 )
 from slowreg.benchmark import SynthParams, make_synthetic_dataset
+from slowreg import master
 from slowreg.cli import main
 from slowreg.dataio import write_data_csv, write_edge_list
 
@@ -158,6 +160,28 @@ class TestExitCodes:
         assert main(fit_argv(data, graph, tmp_path / "report.json")) == 5
         err = capsys.readouterr().err
         assert "internal error" in err and "boom" in err
+
+    def test_master_too_large_for_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # T=100, D=200 chain: the master array's size depends on T, D and the
+        # edges only, so two rows per vertex are enough to reach 17.8 GiB
+        monkeypatch.setattr(master, "physical_memory_bytes", lambda: 16 * 2**30)
+        rng = np.random.default_rng(5)
+        data = tmp_path / "large.csv"
+        write_data_csv(
+            data, [rng.normal(size=(2, 200)) for _ in range(100)],
+            [rng.normal(size=2) for _ in range(100)],
+        )
+        code = main([
+            "fit", "--data", str(data), "--chain",
+            "--kl", "5", "--kg", "10", "--kc", "10",
+            "--lambda-beta", "60", "--lambda-delta", "60",
+            "--output", str(tmp_path / "report.json"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "internal error" not in err
+        assert "59766 x 40001 array (17.8 GiB)" in err
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestReports:

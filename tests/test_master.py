@@ -1,6 +1,11 @@
 """Tree search vs exhaustive enumeration on small instances."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from slowreg import master
 from slowreg.benchmark import SynthParams, make_synthetic_dataset, solver_budget
 from slowreg.master import (
     MasterProgram,
+    ProblemSizeError,
     SolveLimits,
     branch_variable,
     solve_support_selection,
@@ -449,3 +455,108 @@ class TestIllConditionedNodeLP:
         )
         assert res.lower_bound <= best_cost + 1e-8
         assert res.upper_bound >= best_cost - 1e-8
+
+
+# Solves two weak-weight instances (one spatial, one chain) at the 100-node
+# cap and prints, per instance, the bounds, the enumerated optimum and the
+# number of primal clean-up pivots.
+_ONE_THREAD_SCRIPT = """
+import json
+from slowreg import build_quadform, simplex, stepwise_fit
+from slowreg.benchmark import SynthParams, make_synthetic_dataset, solver_budget
+from slowreg.master import SolveLimits, solve_support_selection
+from util import exhaustive_best_support
+
+cleanup = [0]
+primal_phase = simplex._Simplex.primal_phase
+
+def counting(self):
+    before = self.iterations
+    primal_phase(self)
+    cleanup[0] += self.iterations - before
+
+simplex._Simplex.primal_phase = counting
+out = []
+for mode, seed, graph in (("spatial", 10006, dict(e=4, k_g=4)), ("temporal", 17003, {})):
+    cleanup[0] = 0
+    dataset = make_synthetic_dataset(
+        SynthParams(n=30, t=4, d=8, k_l=2, k_c=2, mode=mode, seed=seed, **graph)
+    )
+    instance = dataset.instance.with_weights(30 * 3.0**-6, 30 * 3.0**-2)
+    budget = solver_budget(dataset)
+    qf = build_quadform(instance)
+    warm = stepwise_fit(instance, budget, seed=seed, qf=qf)
+    res = solve_support_selection(
+        qf, budget, warm_start=warm.z, limits=SolveLimits(max_nodes=100)
+    )
+    best, _ = exhaustive_best_support(
+        instance, budget.max_per_vertex, budget.max_global, budget.max_changes
+    )
+    out.append(dict(lower=res.lower_bound, upper=res.upper_bound, best=best,
+                    nodes=res.node_count, cleanup=cleanup[0]))
+print(json.dumps(out))
+"""
+
+
+class TestOneBlasThread:
+    def test_weak_instances_with_primal_clean_up(self):
+        # BLAS on one thread rounds differently from the default thread
+        # count, and these two instances once needed primal clean-up pivots
+        # only there; the benchmark pins one thread, so the suite checks it too
+        paths = [str(Path(master.__file__).resolve().parents[1]),
+                 str(Path(__file__).resolve().parent)]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(paths + [env.get("PYTHONPATH", "")])
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[name] = "1"
+        out = subprocess.run(
+            [sys.executable, "-c", _ONE_THREAD_SCRIPT], env=env,
+            capture_output=True, text=True, check=True,
+        )
+        runs = json.loads(out.stdout)
+        for run in runs:
+            assert run["nodes"] == 100
+            assert run["lower"] <= run["best"] + 1e-8
+            assert run["best"] <= run["upper"] + 1e-8
+        # the clean-up path is what this test is for
+        assert sum(run["cleanup"] for run in runs) > 0
+
+
+class TestMasterSize:
+    # a chain of T=100 vertices with D=200 features: the dense master array
+    # is 59,766 x 40,001 doubles, 17.8 GiB, whatever the row count per vertex
+    GIB = 2**30
+
+    @staticmethod
+    def large_chain():
+        instance = make_instance(T=100, D=200, N=2, seed=0, lambda_delta=1.0)
+        return build_quadform(instance), SparsityBudget(5, 10, 10)
+
+    def test_refused_before_allocation(self, monkeypatch):
+        monkeypatch.setattr(master, "physical_memory_bytes", lambda: 16 * self.GIB)
+        qf, budget = self.large_chain()
+        with pytest.raises(ProblemSizeError, match=r"59766 x 40001 array \(17\.8 GiB\)"):
+            MasterProgram(qf, budget)
+        with pytest.raises(ProblemSizeError, match="16.0 GiB of physical memory"):
+            solve_support_selection(qf, budget)
+
+    def test_growth_for_cuts_is_checked_too(self, monkeypatch):
+        _, qf, budget = small_setup(0)
+        mp = MasterProgram(qf, budget)
+        rows = mp._a.shape[0]
+        # room for the array as it is, not for the doubled one
+        monkeypatch.setattr(
+            master, "physical_memory_bytes", lambda: rows * mp.n_vars * 8 * 3 // 2
+        )
+        td = qf.mu.size
+        anchors = [((i >> np.arange(td)) & 1).astype(bool) for i in range(rows - mp.m + 1)]
+        for anchor in anchors[:-1]:
+            assert mp.add_cut(anchor, 1.0, np.ones(td))
+        with pytest.raises(ProblemSizeError, match="physical memory"):
+            mp.add_cut(anchors[-1], 1.0, np.ones(td))
+
+    def test_small_program_fits(self):
+        memory = master.physical_memory_bytes()
+        assert memory is None or memory > 0
+        _, qf, budget = small_setup(0)
+        assert MasterProgram(qf, budget).m > 0

@@ -390,19 +390,85 @@ class TestDualWarmStart:
         assert res.objective == pytest.approx(0.0, abs=1e-12)
 
 
-class TestBasisMatrix:
-    def test_matches_column_by_column_assembly(self):
-        rng = np.random.default_rng(11)
-        n, m = 5, 6
+def explicit_basis(sx):
+    return np.column_stack([sx.column(int(j)) for j in sx.basis])
+
+
+class TestBlockInverse:
+    # structural counts from the all-slack basis (k = 0) to an all-structural
+    # one (k = m), in shuffled slot order
+    @pytest.mark.parametrize("k", range(7))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_inverse_of_explicit_basis(self, k, seed):
+        rng = np.random.default_rng(1000 + seed)
+        n, m = 8, 6
         lp = BoxedLinearProgram(
             c=rng.normal(size=n), a=rng.normal(size=(m, n)), b=rng.normal(size=m),
             lower=np.zeros(n), upper=np.ones(n),
         )
         sx = _Simplex(lp)
-        # structural and slack columns in a shuffled order
-        sx.basis = np.array([3, n + 1, n + 2, 0, n + 5, 1])
-        reference = np.column_stack([sx.column(int(j)) for j in sx.basis])
-        assert np.array_equal(sx.basis_matrix(), reference)
+        struct = rng.choice(n, size=k, replace=False)
+        slacks = n + rng.choice(m, size=m - k, replace=False)
+        sx.install(rng.permutation(np.concatenate([struct, slacks])),
+                   np.zeros(n + m, dtype=bool))
+        reference = np.linalg.inv(explicit_basis(sx))
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(sx.binv - reference)) <= 1e-12 * scale
+        assert np.max(np.abs(sx.binv @ explicit_basis(sx) - np.eye(m))) <= 1e-12 * scale
+
+    def test_singular_structural_block_raises(self):
+        lp = BoxedLinearProgram(
+            c=[1.0, 1.0], a=[[1.0, 2.0], [2.0, 4.0]], b=[1.0, 1.0],
+            lower=[0.0, 0.0], upper=[1.0, 1.0],
+        )
+        with pytest.raises(np.linalg.LinAlgError):
+            _Simplex(lp).install(np.array([0, 1]), np.zeros(4, dtype=bool))
+
+
+class TestCarriedReducedCosts:
+    """The reduced costs the dual phase carries match a fresh computation."""
+
+    @staticmethod
+    def dual_pivots(lp, start=None):
+        """Dual phase from `start` (else the slack basis); checks d, returns the pivots."""
+        sx = _Simplex(lp)
+        if start is None or not sx.warm_start(start):
+            sx.slack_start()
+        sx.dual_phase()
+        nonbasic = ~sx.in_basis
+        error = np.abs(sx.d - sx.reduced_costs())[nonbasic]
+        assert np.max(error, initial=0.0) <= 1e-9 * sx.scale
+        return sx.iterations
+
+    def test_cold_starts(self):
+        pivots = [
+            self.dual_pivots(random_lp(np.random.default_rng(500 + seed), False))
+            for seed in range(20)
+        ]
+        assert sum(p > 0 for p in pivots) >= 10
+
+    def test_warm_child_starts(self):
+        pivots = [
+            self.dual_pivots(child, first.state)
+            for seed in range(400, 430)
+            for first, child in branch_children(seed)
+        ]
+        assert sum(p > 0 for p in pivots) >= 20
+
+    def test_appended_rows(self):
+        pivots = []
+        for seed in range(20):
+            rng = np.random.default_rng(600 + seed)
+            lp = random_lp(rng, force_feasible=True)
+            first = solve_boxed_lp(lp)
+            rows = rng.normal(size=(3, lp.n))
+            lp2 = BoxedLinearProgram(
+                c=lp.c, a=np.vstack([lp.a, rows]),
+                b=np.append(lp.b, rows @ first.x - rng.uniform(0.0, 1.0, size=3)),
+                lower=lp.lower, upper=lp.upper,
+            )
+            pivots.append(self.dual_pivots(lp2, first.state))
+        assert sum(p > 0 for p in pivots) >= 15
 
 
 class TestPointCheck:
