@@ -545,11 +545,12 @@ def grid_search(
     per-config table, and the reweighted full instance are all returned.
 
     The pairs share what does not depend on their weights. The training
-    quadform is built once at lambda_delta = 0, so its blocks are X_t'X_t;
-    each pair only rewrites the T*D diagonal entries to
-    X_t'X_t + deg(t) * lambda_delta, in place, which gives the same bits as
-    building its quadform afresh. The greedy phase of the stepwise heuristic
-    depends only on lambda_beta, so it runs once per distinct lambda_beta.
+    quadform (mu and const_term, O(sum_t n_t * D)) is built once; each pair
+    gets a copy that differs only in its two weights, and reads the shared
+    training X blocks, so no D x D block is stored for any pair (a
+    restricted block costs O(n_t * k^2), a matvec O(sum_t n_t * D)). The
+    greedy phase of the stepwise heuristic depends only on lambda_beta, so
+    it runs once per distinct lambda_beta.
     """
     if grid is None:
         anchor = float(np.mean(instance.row_counts))
@@ -559,17 +560,13 @@ def grid_search(
     train, hold_blocks = _holdout_split(instance, holdout_fraction, seed)
     t, d = instance.vertex_count, instance.feature_count
 
-    qf = build_quadform(train.with_weights(train.lambda_beta, 0.0))
-    diag = qf.gram.reshape(t, d * d)[:, :: d + 1]    # a view into qf.gram
-    xtx_diag = diag.copy()
-    deg = instance.graph.degrees()[:, None]
+    qf = build_quadform(train)
     starts = {}
 
     best = None
     table = []
     for lb, ld in grid:
         sub = train.with_weights(lb, ld)
-        diag[...] = xtx_diag + deg * ld
         if lb not in starts:
             starts[lb] = greedy_start(sub, budget)
         res = stepwise_fit(
@@ -580,7 +577,7 @@ def grid_search(
         table.append({"lambda_beta": lb, "lambda_delta": ld, "holdout_r2": r2})
         if best is None or r2 > best[0]:
             best = (r2, lb, ld)
-    del qf, diag, starts    # free the training Gram before the full refit
+    del starts    # free the greedy starts before the full refit
 
     r2_best, lb_best, ld_best = best
     full = instance.with_weights(lb_best, ld_best)

@@ -24,7 +24,10 @@ z = 0 the whole gradient is -mu^2 / (2 lambda_beta).
 
 Chain graphs get a block-tridiagonal solve; anything else builds the
 restricted matrix densely and factors it. Both paths agree to tight
-tolerance and are cross-checked in the test suite.
+tolerance and are cross-checked in the test suite. Neither reads a stored
+D x D block: each restricted diagonal block is formed from the X blocks at
+O(n_t * k_t^2) for k_t selected features and n_t rows at vertex t, and the
+gradient's matvec costs O(sum_t n_t * D + |E| * D).
 """
 
 from __future__ import annotations
@@ -65,16 +68,10 @@ def _selected(qf: QuadForm, zb: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(zg[t]) for t in range(T)]
 
 
-def _diag_block(qf: QuadForm, t: int, sel: np.ndarray) -> np.ndarray:
-    block = qf.gram[t][np.ix_(sel, sel)]
-    block.flat[::sel.size + 1] += qf.lambda_beta
-    return block
-
-
 def _chain_solve(qf: QuadForm, sel: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
     """Restricted solve on a chain graph: the system is block tridiagonal."""
     T = qf.vertex_count
-    diag = [_diag_block(qf, t, sel[t]) for t in range(T)]
+    diag = [qf.diag_block(t, sel[t]) for t in range(T)]
     sub = [
         -qf.lambda_delta
         * (sel[t + 1][:, None] == sel[t][None, :]).astype(np.float64)
@@ -89,8 +86,8 @@ def _generic_solve(qf: QuadForm, sel: list[np.ndarray], rhs: np.ndarray) -> np.n
     offsets = np.concatenate([[0], np.cumsum([len(s) for s in sel])])
     a = np.zeros((rhs.size, rhs.size))
     for t in range(T):
-        a[offsets[t]:offsets[t + 1], offsets[t]:offsets[t + 1]] = _diag_block(
-            qf, t, sel[t]
+        a[offsets[t]:offsets[t + 1], offsets[t]:offsets[t + 1]] = qf.diag_block(
+            t, sel[t]
         )
     for s, t in qf.graph.edges:
         if len(sel[s]) == 0 or len(sel[t]) == 0:
@@ -184,15 +181,8 @@ def eval_cost_fractional(qf: QuadForm, z: np.ndarray) -> float:
 
 def dense_coupled_matrix(qf: QuadForm) -> np.ndarray:
     """The full coupled matrix M as a dense array. Diagnostic, small sizes only."""
-    T, D = qf.vertex_count, qf.feature_count
-    m = np.zeros((T * D, T * D))
-    for t in range(T):
-        m[t * D:(t + 1) * D, t * D:(t + 1) * D] = qf.gram[t]
-    eye = np.eye(D)
-    for s, t in qf.graph.edges:
-        m[s * D:(s + 1) * D, t * D:(t + 1) * D] = -qf.lambda_delta * eye
-        m[t * D:(t + 1) * D, s * D:(s + 1) * D] = -qf.lambda_delta * eye
-    return m
+    n = qf.vertex_count * qf.feature_count
+    return np.column_stack([qf.matvec(e) for e in np.eye(n)])
 
 
 def verify_penrose(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> bool:

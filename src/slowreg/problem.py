@@ -116,13 +116,18 @@ class QuadForm:
         f(beta) = const_term + beta'(M + lambda_beta I) beta - 2 mu' beta.
 
     Note M itself carries no lambda_beta; the ridge term enters separately.
-    Only the T diagonal D x D blocks are stored; the full matrix is never
-    materialized, and edge blocks act through matvec.
+    M is never stored, not even its D x D diagonal blocks: the form holds the
+    instance's X blocks (shared, not copied) and the vertex degrees, and
+    works from those. A k x k restricted diagonal block costs O(n_t * k^2)
+    and `matvec` costs O(sum_t n_t * D + |E| * D), where n_t is the row
+    count of vertex t. Building the form costs O(sum_t n_t * D) and
+    allocates only mu.
     """
 
     graph: SimilarityGraph
-    gram: np.ndarray          # (T, D, D) diagonal blocks including the Laplacian part
-    mu: np.ndarray            # (T*D,)
+    x_blocks: tuple[np.ndarray, ...]  # the instance's (n_t, D) blocks, shared
+    degrees: np.ndarray               # (T,) vertex degrees in the graph
+    mu: np.ndarray                    # (T*D,)
     const_term: float
     lambda_beta: float
     lambda_delta: float
@@ -133,13 +138,29 @@ class QuadForm:
 
     @property
     def feature_count(self) -> int:
-        return self.gram.shape[1]
+        return self.x_blocks[0].shape[1]
+
+    def diag_block(self, t: int, sel: np.ndarray) -> np.ndarray:
+        """Rows and columns `sel` of the t-th diagonal block of M + lambda_beta I.
+
+        X_t[:, sel]' X_t[:, sel], then deg(t) * lambda_delta and then
+        lambda_beta added to the diagonal, in that order. O(n_t * k^2) for
+        k = len(sel).
+        """
+        xs = self.x_blocks[t][:, sel]
+        block = xs.T @ xs
+        block.flat[::sel.size + 1] += self.degrees[t] * self.lambda_delta
+        block.flat[::sel.size + 1] += self.lambda_beta
+        return block
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """M @ v using the block structure, O(T*D^2 + |E|*D)."""
+        """M @ v from the X blocks, O(sum_t n_t * D + |E| * D)."""
         T, D = self.vertex_count, self.feature_count
         vg = v.reshape(T, D)
-        out = np.einsum("tij,tj->ti", self.gram, vg)
+        out = np.empty((T, D))
+        for t, x in enumerate(self.x_blocks):
+            out[t] = x.T @ (x @ vg[t])
+        out += (self.degrees * self.lambda_delta)[:, None] * vg
         for s, t in self.graph.edges:
             out[s] -= self.lambda_delta * vg[t]
             out[t] -= self.lambda_delta * vg[s]
@@ -157,20 +178,17 @@ class QuadForm:
 
 
 def build_quadform(instance: ProblemInstance) -> QuadForm:
-    T, D = instance.vertex_count, instance.feature_count
-    deg = instance.graph.degrees()
-    gram = np.empty((T, D, D))
-    mu = np.empty(T * D)
+    """The quadratic form of an instance: mu and const_term, O(sum_t n_t * D)."""
+    D = instance.feature_count
+    mu = np.empty(instance.vertex_count * D)
     const = 0.0
-    eye = np.eye(D)
-    for t in range(T):
-        x, y = instance.x_blocks[t], instance.y_blocks[t]
-        gram[t] = x.T @ x + deg[t] * instance.lambda_delta * eye
+    for t, (x, y) in enumerate(zip(instance.x_blocks, instance.y_blocks)):
         mu[t * D:(t + 1) * D] = x.T @ y
         const += float(y @ y)
     return QuadForm(
         graph=instance.graph,
-        gram=gram,
+        x_blocks=instance.x_blocks,
+        degrees=instance.graph.degrees(),
         mu=mu,
         const_term=const,
         lambda_beta=instance.lambda_beta,

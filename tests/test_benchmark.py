@@ -34,7 +34,7 @@ import slowreg.benchmark as bench
 from slowreg.benchmark import noise_variance
 from slowreg.stepwise import greedy_start
 
-from util import graph_of_kind, grid_search_reference, make_instance
+from util import graph_of_kind, grid_search_reference, make_instance, random_graph
 
 
 def temporal_params(**kw):
@@ -510,9 +510,10 @@ class TestGridSearchMatchesReference:
 
         def spy_fit(sub, budget, seed=0, qf=None, start=None):
             if qf is not None:
-                # compare now: the grid search rewrites the Gram for the next pair
                 fresh = build_quadform(sub)
-                assert qf.gram.tobytes() == fresh.gram.tobytes()
+                # the pair reads the training split's own X blocks, not copies
+                assert all(a is b for a, b in zip(qf.x_blocks, sub.x_blocks))
+                assert qf.degrees.tobytes() == fresh.degrees.tobytes()
                 assert qf.mu.tobytes() == fresh.mu.tobytes()
                 assert qf.const_term == fresh.const_term
                 assert (qf.lambda_beta, qf.lambda_delta) == (
@@ -535,6 +536,53 @@ class TestGridSearchMatchesReference:
         assert calls[:-1] == [(lb, ld, False) for lb, ld in INTERLEAVED_GRID]
         assert calls[-1] == (res.lambda_beta, res.lambda_delta, True)
         assert greedy_lambdas == [4.0, 12.0, 1.5]
+
+
+# answers of an earlier implementation that stored the dense (T, D, D) Gram
+# blocks: the support of the final refit and every table R^2, per graph
+PINNED_GRID_SEARCH = {
+    "chain": dict(
+        best=(4.0, 12.0),
+        support=[6, 9, 16, 19, 26, 28, 29, 36, 38, 39, 47, 48, 49, 57, 58, 59],
+        r2=[
+            -0.1640506989600976, -0.20683763140798828, -0.2229534227934824,
+            -0.16128715395072324, -0.355646908455457, -0.4197962340708712,
+            -0.22878237777931476, -0.43992220934870563, -0.6406387428208178,
+            -0.4976748383520304, -0.6136685604347591, -0.5546010232350644,
+            -0.41796474541776596, -0.6418395105254404, -0.5869962900446206,
+            -0.42125071827005733, -0.6520031402713382, -0.6010684983263166,
+            -0.4223590351927058, -0.6554860731804388, -0.6058935038928193,
+        ],
+    ),
+    "random": dict(
+        best=(0.4444444444444444, 12.0),
+        support=[6, 7, 10, 16, 19, 20, 26, 27, 30, 36, 37, 40, 46, 47, 50, 56, 57],
+        r2=[
+            -0.04738541562733922, -0.1432263283971278, -0.20617853582339873,
+            0.04111204132744328, -0.06619866712551703, -0.3506023069590585,
+            0.029675347556056275, -0.06767740572824765, -0.49625724401253146,
+            0.08121604377863467, -0.09120935584953571, -0.3719462397095725,
+            0.00678215826141737, -0.025810210682245538, -0.3888358420354776,
+            0.006699840752028896, -0.02678549173652245, -0.3948805382735854,
+            0.006670996358689729, -0.027122588816050675, -0.3969455983269441,
+        ],
+    ),
+}
+
+
+class TestGridSearchPinnedAnswers:
+    @pytest.mark.parametrize("kind", ["chain", "random"])
+    def test_matches_recorded_answers(self, kind):
+        rng = np.random.default_rng(6010)
+        graph = SimilarityGraph.chain(6) if kind == "chain" else random_graph(6, 8, rng)
+        instance = make_instance(T=6, D=10, N=12, seed=61, graph=graph, lambda_delta=0.8)
+        budget = SparsityBudget(max_per_vertex=3, max_global=4, max_changes=4)
+        res = grid_search(instance, budget, seed=3)
+        want = PINNED_GRID_SEARCH[kind]
+        assert (res.lambda_beta, res.lambda_delta) == want["best"]
+        assert np.flatnonzero(res.fit.z).tolist() == want["support"]
+        got = [row["holdout_r2"] for row in res.table]
+        np.testing.assert_allclose(got, want["r2"], rtol=1e-12, atol=0.0)
 
 
 class TestSolverBudget:

@@ -477,7 +477,7 @@ def counting(self):
 
 simplex._Simplex.primal_phase = counting
 out = []
-for mode, seed, graph in (("spatial", 10006, dict(e=4, k_g=4)), ("temporal", 17003, {})):
+for mode, seed, graph in (("temporal", 3002, {}), ("spatial", 5004, dict(e=4, k_g=4))):
     cleanup[0] = 0
     dataset = make_synthetic_dataset(
         SynthParams(n=30, t=4, d=8, k_l=2, k_c=2, mode=mode, seed=seed, **graph)
@@ -501,8 +501,9 @@ print(json.dumps(out))
 class TestOneBlasThread:
     def test_weak_instances_with_primal_clean_up(self):
         # BLAS on one thread rounds differently from the default thread
-        # count, and these two instances once needed primal clean-up pivots
-        # only there; the benchmark pins one thread, so the suite checks it too
+        # count; with one thread these two instances take one primal clean-up
+        # pivot each, the only ones among exact_weak's run seeds 0-23 that
+        # take any. The benchmark pins one thread, so the suite checks it too
         paths = [str(Path(master.__file__).resolve().parents[1]),
                  str(Path(__file__).resolve().parent)]
         env = dict(os.environ)

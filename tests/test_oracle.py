@@ -27,11 +27,15 @@ from slowreg.oracle import (
 from util import make_instance, random_graph, restricted_cost_reference
 
 
-def scalar_quadform(m=19.0, mu=1.0, lam=1.0):
-    """Single vertex, single feature, coupled matrix [m], moments mu."""
+def scalar_quadform(column=(3.0, 3.0, 1.0), mu=1.0, lam=1.0):
+    """Single vertex, single feature, coupled matrix [m] with m = |column|^2.
+
+    The default column gives m = 9 + 9 + 1 = 19 exactly.
+    """
     return QuadForm(
         graph=SimilarityGraph(1),
-        gram=np.array([[[m]]]),
+        x_blocks=(np.array(column, dtype=np.float64)[:, None],),
+        degrees=np.zeros(1, dtype=np.int64),
         mu=np.array([mu]),
         const_term=0.0,
         lambda_beta=lam,
@@ -110,7 +114,7 @@ class TestChainFastPath:
 
 class TestBetaStar:
     def test_scalar_ridge(self):
-        qf = scalar_quadform(m=1.0, mu=1.0, lam=1.0)
+        qf = scalar_quadform(column=(1.0,), mu=1.0, lam=1.0)
         assert beta_star(qf, np.array([1]))[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_empty_support_is_zero(self):

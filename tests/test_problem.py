@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,8 +92,10 @@ class TestQuadForm:
         y0, y1 = np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0, 0.0])
         inst = ProblemInstance(g, (np.eye(D), np.eye(D)), (y0, y1), 1.0, 0.25)
         qf = build_quadform(inst)
-        assert np.allclose(qf.gram[0], np.eye(D) * (1 + 0.25))
-        assert np.allclose(qf.gram[1], np.eye(D) * (1 + 0.25))
+        # the blocks of M + lambda_beta I, so lambda_beta = 1 is on them too
+        everything = np.arange(D)
+        assert np.allclose(qf.diag_block(0, everything), np.eye(D) * (1 + 0.25 + 1))
+        assert np.allclose(qf.diag_block(1, everything), np.eye(D) * (1 + 0.25 + 1))
         assert np.allclose(qf.mu, np.concatenate([y0, y1]))
         assert qf.const_term == pytest.approx(float(y0 @ y0 + y1 @ y1))
 
@@ -142,11 +146,69 @@ class TestQuadForm:
         deg = inst.graph.degrees()
         for t in range(3):
             x, y = inst.x_blocks[t], inst.y_blocks[t]
-            fresh_gram = x.T @ x + deg[t] * inst.lambda_delta * np.eye(4)
-            assert np.allclose(qf.gram[t], fresh_gram, rtol=1e-12)
+            ridge = deg[t] * inst.lambda_delta + inst.lambda_beta
+            fresh_gram = x.T @ x + ridge * np.eye(4)
+            assert np.allclose(qf.diag_block(t, np.arange(4)), fresh_gram, rtol=1e-12)
             assert np.allclose(qf.mu[t * 4:(t + 1) * 4], x.T @ y, rtol=1e-12)
         fresh_const = sum(float(y @ y) for y in inst.y_blocks)
         assert qf.const_term == pytest.approx(fresh_const, rel=1e-12)
+
+
+class TestGramFreeForm:
+    """Blocks and products of M come from the shared X blocks, not a stored Gram."""
+
+    @staticmethod
+    def ragged(kind):
+        # vertex 1 has more rows than features, the others fewer
+        rng = np.random.default_rng(8800)
+        T, D = 5, 6
+        if kind == "chain":
+            graph = SimilarityGraph.chain(T)
+        elif kind == "random":
+            graph = random_graph(T, 6, rng)
+        else:
+            graph = SimilarityGraph(T)
+        rows = (3, 11, 2, 5, 1)
+        xs = tuple(rng.standard_normal((n, D)) for n in rows)
+        ys = tuple(rng.standard_normal(n) for n in rows)
+        return ProblemInstance(graph, xs, ys, lambda_beta=0.7, lambda_delta=1.9)
+
+    @pytest.mark.parametrize("kind", ["chain", "random", "edgeless"])
+    def test_blocks_and_matvec_match_dense_reference(self, kind):
+        inst = self.ragged(kind)
+        T, D = inst.vertex_count, inst.feature_count
+        qf = build_quadform(inst)
+        m = dense_coupled_reference(inst)
+        a = m + inst.lambda_beta * np.eye(T * D)
+        rng = np.random.default_rng(8801)
+        for t in range(T):
+            for sel in (np.arange(D), np.array([4]), np.sort(rng.choice(D, 3, replace=False))):
+                want = a[np.ix_(t * D + sel, t * D + sel)]
+                got = qf.diag_block(t, sel)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        for _ in range(10):
+            v = rng.standard_normal(T * D)
+            want = m @ v
+            assert np.linalg.norm(qf.matvec(v) - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_shares_the_instance_x_blocks(self):
+        inst = self.ragged("random")
+        qf = build_quadform(inst)
+        assert len(qf.x_blocks) == inst.vertex_count
+        for x_form, x_inst in zip(qf.x_blocks, inst.x_blocks):
+            assert np.shares_memory(x_form, x_inst)
+
+    def test_build_allocates_no_dense_blocks(self):
+        # a (T, D, D) Gram would be 32 MB here; mu is 160 kB
+        inst = make_instance(T=100, D=200, N=3, seed=88)
+        tracemalloc.start()
+        try:
+            qf = build_quadform(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert qf.mu.size == 100 * 200
+        assert peak < 2**20
 
 
 class TestBudgets:

@@ -229,7 +229,8 @@ class TestSingleSolve:
         start = greedy_start(instance, budget)
         before = [a.copy() for a in (start.coeffs, start.colr, start.col_norm2)]
         qf = build_quadform(instance)
-        gram = qf.gram.copy()
+        mu = qf.mu.copy()
+        xs = [x.copy() for x in qf.x_blocks]
         given = stepwise_fit(instance, budget, seed=2, qf=qf, start=start)
         plain = stepwise_fit(instance, budget, seed=2)
         assert given.removal_iterations == plain.removal_iterations > 0
@@ -239,7 +240,9 @@ class TestSingleSolve:
         # the fit works on copies: the start and the quadform are left as given
         for a, b in zip((start.coeffs, start.colr, start.col_norm2), before):
             assert a.tobytes() == b.tobytes()
-        assert qf.gram.tobytes() == gram.tobytes()
+        assert qf.mu.tobytes() == mu.tobytes()
+        for x, x0 in zip(qf.x_blocks, xs):
+            assert x.tobytes() == x0.tobytes()
 
 
 class TestWarmStartQuality:
