@@ -30,6 +30,7 @@ from .problem import (
 from .stepwise import greedy_start, sparse_ridge_greedy, stepwise_fit
 
 MODES = ("temporal", "spatial")
+_GEN_BLOCK = 1 << 17  # doubles per block of gen_x's second part (1 MiB)
 
 
 @dataclass(frozen=True)
@@ -298,13 +299,20 @@ def gen_x(params: SynthParams, rng: np.random.Generator) -> np.ndarray:
     vertex axis (x[:, v+1, :] += rho_t * x[:, v, :]) and the second along the
     feature axis (x[:, :, j+1] += rho_d * x[:, :, j]).
     """
-    xa = rng.standard_normal((params.n, params.t, params.d))
-    xb = rng.standard_normal((params.n, params.t, params.d))
-    for v in range(1, params.t):
-        xa[:, v, :] += params.rho_t * xa[:, v - 1, :]
-    for j in range(1, params.d):
-        xb[:, :, j] += params.rho_d * xb[:, :, j - 1]
-    return xa + xb
+    n, t, d = params.n, params.t, params.d
+    x = rng.standard_normal((n, t, d))
+    for v in range(1, t):
+        x[:, v, :] += params.rho_t * x[:, v - 1, :]
+    # the second part is drawn and added a block of rows at a time, so only
+    # one (n, t, d) array is held; standard_normal fills in C order, so the
+    # blocks take the same stream as one (n, t, d) draw
+    rows = max(1, _GEN_BLOCK // (t * d))
+    for start in range(0, n, rows):
+        xb = rng.standard_normal((min(rows, n - start), t, d))
+        for j in range(1, d):
+            xb[:, :, j] += params.rho_d * xb[:, :, j - 1]
+        x[start : start + rows] += xb
+    return x
 
 
 def noise_variance(clean_y: np.ndarray, xi: float) -> float:
@@ -712,7 +720,9 @@ def solver_summary(res: SolveResult) -> dict:
         "upper_bound": res.upper_bound,
         "lower_bound": res.lower_bound,
         "objective_value": res.objective_value,
+        "objective_lower_bound": res.objective_lower_bound,
         "relative_gap": res.relative_gap,
+        "objective_gap": res.objective_gap,
         "node_count": res.node_count,
         "cut_count": res.cut_count,
         "wall_time": res.wall_time,

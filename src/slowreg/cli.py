@@ -9,8 +9,7 @@ synthetic dataset.
 
 Reports are JSON documents with a fixed key set per command, sorted keys,
 a `version` field, and the fully resolved configuration for provenance.
-Exit codes: 0 success, 2 usage (or a problem too large for the exact
-solver's memory), 3 I/O, 4 infeasible budgets, 5 internal.
+Exit codes: 0 success, 2 usage, 3 I/O, 4 infeasible budgets, 5 internal.
 A flat `key=value` config file can preset any flag; explicit flags win.
 """
 
@@ -35,7 +34,7 @@ from .benchmark import (
 )
 from .dataio import dump_dataset, read_data_csv, read_edge_list, read_metadata
 from .graph import SimilarityGraph
-from .master import ProblemSizeError, SolveLimits, solve_support_selection
+from .master import SolveLimits, solve_support_selection
 from .problem import BudgetError, ProblemInstance, SparsityBudget, build_quadform
 from .stepwise import stepwise_fit
 
@@ -572,7 +571,7 @@ def main(argv=None) -> int:
 
     try:
         return run(cfg)
-    except (UsageError, ProblemSizeError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InputError as exc:

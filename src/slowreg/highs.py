@@ -1,0 +1,190 @@
+"""Linear programs  min c'x  s.t.  A x <= b,  lower <= x <= upper  on HiGHS.
+
+An `LPModel` is one HiGHS model: the tree search keeps one per solve, adds
+cut rows and changes column bounds between node LPs. A start is the `state`
+of an earlier result; rows added since enter basic. A start that the model
+still holds (a cut re-solve, or a child right after its parent) is not set
+again, so HiGHS keeps its factorization. A start with other columns or more
+rows is not used (`warm` is False); a fresh model then starts from the slack
+basis. Optimal, infeasible and `time_limit` (at the model's deadline) are
+the outcomes; any other HiGHS status raises. A model asks for one thread,
+and for HiGHS's own choice when the process already runs HiGHS's shared
+scheduler with another thread count.
+
+scipy's HiGHS extension is loaded at the first model, from its file and
+under its own name, since importing `scipy.optimize` costs tens of MiB.
+"""
+
+from __future__ import annotations
+
+import importlib.machinery
+import importlib.util
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+_CORE = "scipy.optimize._highspy._core"
+
+
+def core():
+    """scipy's HiGHS extension module; it is executed once per process."""
+    module = sys.modules.get(_CORE)
+    if module is not None:
+        return module
+    scipy_spec = importlib.util.find_spec("scipy")  # locates, does not import
+    if scipy_spec is None:
+        raise ImportError("the exact solver needs scipy, whose HiGHS runs its LPs")
+    folder = Path(scipy_spec.submodule_search_locations[0], "optimize", "_highspy")
+    paths = [folder / f"_core{s}" for s in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if p.exists()), None)
+    if path is None:
+        raise ImportError(f"scipy's HiGHS extension is not in {folder}")
+    spec = importlib.util.spec_from_file_location(_CORE, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_CORE] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_CORE]
+        raise
+    return module
+
+
+class BoxedLinearProgram:
+    """A dense program, validated so that it is bounded."""
+
+    def __init__(self, c, a, b, lower, upper):
+        self.a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+        self.c, self.b, self.lower, self.upper = (
+            np.asarray(v, dtype=np.float64).ravel() for v in (c, b, lower, upper)
+        )
+        m, n = self.a.shape
+        if self.c.size != n or self.lower.size != n or self.upper.size != n:
+            raise ValueError("cost/bound lengths do not match column count")
+        if self.b.size != m:
+            raise ValueError("rhs length does not match row count")
+        if not np.all(np.isfinite(self.lower)):
+            raise ValueError("every variable needs a finite lower bound")
+        if np.any(self.upper < self.lower):
+            raise ValueError("upper < lower")
+        if np.any((self.c < 0.0) & ~np.isfinite(self.upper)):
+            raise ValueError(
+                "a column with a negative cost needs a finite upper bound, "
+                "or the program may be unbounded"
+            )
+
+    @property
+    def n(self) -> int:
+        return self.a.shape[1]
+
+    @property
+    def m(self) -> int:
+        return self.a.shape[0]
+
+
+class LPResult:
+    """One run: its point, row duals y (c - A'y are the reduced costs) and basis."""
+
+    __slots__ = ("status", "x", "objective", "iterations", "state", "warm", "duals")
+
+    def __init__(self, status, x, objective, iterations, state, warm, duals=None):
+        self.status = status          # optimal | infeasible | time_limit
+        self.x = x
+        self.objective = objective
+        self.iterations = iterations  # HiGHS simplex iterations of this run
+        self.state = state            # the final HiGHS basis
+        self.warm = warm              # the given start was used
+        self.duals = duals
+
+
+class LPModel:
+    """One HiGHS model; each run stops at `deadline`, a `time.perf_counter` value."""
+
+    def __init__(self, c, lower, upper, deadline: float = np.inf):
+        self._core = hc = core()
+        self.highs = highs = hc._Highs()
+        highs.setOptionValue("output_flag", False)
+        highs.setOptionValue("presolve", "off")
+        highs.setOptionValue("threads", 1)
+        self.n, self.m = c.size, 0
+        self.deadline = deadline
+        self._held = None  # the basis of the last run, which HiGHS still holds
+        empty = np.zeros(0, dtype=np.int32)
+        self._check(highs.addCols(self.n, c, lower, upper, 0, empty, empty, np.zeros(0)))
+
+    @classmethod
+    def from_program(cls, lp: BoxedLinearProgram) -> LPModel:
+        model = cls(lp.c, lp.lower, lp.upper)
+        rows, cols = np.nonzero(lp.a)
+        starts = np.searchsorted(rows, np.arange(lp.m)).astype(np.int32)
+        model.add_rows(starts, cols.astype(np.int32), lp.a[rows, cols], lp.b)
+        return model
+
+    def _check(self, status) -> None:
+        if status == self._core.HighsStatus.kError:
+            raise RuntimeError("HiGHS refused a change to the model")
+
+    def add_rows(self, starts, index, value, upper) -> None:
+        """Append rows in compressed form: row r holds entries starts[r]:starts[r+1]."""
+        count = upper.size
+        self._check(self.highs.addRows(
+            count, np.full(count, -np.inf), upper, index.size, starts, index, value
+        ))
+        self.m += count
+
+    def add_row(self, index, value, upper: float) -> None:
+        self._check(self.highs.addRow(-np.inf, upper, index.size, index, value))
+        self.m += 1
+
+    def set_bounds(self, cols, lower, upper) -> None:
+        self._check(self.highs.changeColsBounds(cols.size, cols, lower, upper))
+
+    def _install(self, start) -> bool:
+        col_status, row_status = start.col_status, start.row_status
+        extra = self.m - len(row_status)
+        if len(col_status) != self.n or extra < 0:
+            return False
+        basis = start
+        if extra:
+            basis = self._core.HighsBasis()
+            basis.valid, basis.alien = True, False
+            basis.col_status = col_status
+            basis.row_status = row_status + [self._core.HighsBasisStatus.kBasic] * extra
+        return self.highs.setBasis(basis) != self._core.HighsStatus.kError
+
+    def solve(self, start=None) -> LPResult:
+        highs, statuses = self.highs, self._core.HighsModelStatus
+        warm = start is not None and (start is self._held or self._install(start))
+        if self.deadline < np.inf:
+            # HiGHS holds its limit against the run time summed over all runs
+            left = max(self.deadline - time.perf_counter(), 0.0)
+            highs.setOptionValue("time_limit", highs.getRunTime() + left)
+        if (highs.run() == self._core.HighsStatus.kError
+                and highs.getModelStatus() == statuses.kNotset):
+            # the process-wide HiGHS scheduler was started by another user
+            # (scipy's linprog, say) with another thread count; 0 accepts it
+            highs.setOptionValue("threads", 0)
+            highs.run()
+        self._held = None
+        status = highs.getModelStatus()
+        iterations = highs.getInfo().simplex_iteration_count
+        if status == statuses.kOptimal:
+            solution = highs.getSolution()
+            self._held = highs.getBasis()
+            return LPResult(
+                "optimal", np.array(solution.col_value), highs.getObjectiveValue(),
+                iterations, self._held, warm, np.array(solution.row_dual),
+            )
+        if status == statuses.kInfeasible:
+            return LPResult("infeasible", None, np.nan, iterations, None, warm)
+        if status == statuses.kTimeLimit:
+            return LPResult("time_limit", None, np.nan, iterations, None, warm)
+        raise RuntimeError(f"HiGHS ended an LP with status {highs.modelStatusToString(status)!r}")
+
+
+def solve_boxed_lp(program: BoxedLinearProgram | LPModel, start=None) -> LPResult:
+    """Solve `program` once from `start`; a BoxedLinearProgram gets a fresh model."""
+    model = program if isinstance(program, LPModel) else LPModel.from_program(program)
+    return model.solve(start)

@@ -12,25 +12,17 @@ oracle call. A warm start contributes the first cut. A node whose LP
 relaxation turns integral either adds a violated cut and re-solves in place
 or certifies an incumbent and closes. Nodes are explored best bound first.
 
-Every node LP runs through the simplex's bounded dual phase, which needs a
-dual feasible start. The root's first LP starts from the slack basis, which
-is dual feasible because the only cost is the +1 on eta (c = e_0) and eta
-starts at its lower bound. Every later LP is warm-started from an optimal
-basis. The re-solve after a cut passes the previous result's
-state: the new cut row enters with its slack basic, and the reduced costs do
-not change. A child node carries its parent's final state (the basis and the
-at-upper flags, not the basis inverse, so a waiting node costs about a
-kilobyte). It differs from its parent by one tightened bound on the branched
-z, which is basic and fractional in the parent's basis, so that basis is
-dual but not primal feasible and a few dual pivots re-solve it.
+All node LPs of one solve run on one HiGHS model (`highs.LPModel`): the
+base rows go in once, sparse, a cut is one more row, and a node's fixings
+are bounds on its z columns. The root's first LP starts cold; a cut
+re-solve starts from the basis just found, and a child from its parent's
+final basis, which differs by one tightened bound on the branched z, so a
+few dual simplex pivots re-solve it. A node LP that reaches the time limit
+ends the search with `time_limit`.
 
 The root LP is always feasible: z = 0 meets every budget that `validate`
 accepts. So a search whose heap runs dry is optimal; only child nodes can
 come back infeasible.
-
-The master's (rows x vars) array is dense. Its size is known from T, D and
-the edges before anything is allocated, and one that would not fit in
-physical memory raises `ProblemSizeError` instead of a `MemoryError`.
 
 Variable layout: eta at 0, z_{t,d} at 1 + t*D + d, s_d at 1 + T*D + d,
 w_{e,d} at 1 + T*D + D + e*D + d. All rows are <= rows.
@@ -39,32 +31,18 @@ w_{e,d} at 1 + T*D + D + e*D + d. All rows are <= rows.
 from __future__ import annotations
 
 import heapq
-import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .highs import LPModel, solve_boxed_lp
 from .oracle import beta_star, eval_gradient, evaluate
 from .problem import BudgetError, QuadForm, SparsityBudget, check_feasible
-from .simplex import BoxedLinearProgram, LPState, solve_boxed_lp
 
 _INT_TOL = 1e-6
 
 
-class ProblemSizeError(ValueError):
-    """The master program's dense array would not fit in physical memory."""
-
-
-def physical_memory_bytes() -> int | None:
-    """Installed physical memory, or None where the platform does not report it."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
-@dataclass(frozen=True)
 class Cut:
     """Supporting hyperplane of the support-cost function at a binary anchor.
 
@@ -72,9 +50,10 @@ class Cut:
     so the cut is valid in every node of the tree.
     """
 
-    anchor: np.ndarray
-    value: float
-    gradient: np.ndarray
+    __slots__ = ("anchor", "value", "gradient")
+
+    def __init__(self, anchor: np.ndarray, value: float, gradient: np.ndarray):
+        self.anchor, self.value, self.gradient = anchor, value, gradient
 
     def evaluate(self, z: np.ndarray) -> float:
         diff = z.astype(np.float64) - self.anchor.astype(np.float64)
@@ -92,13 +71,17 @@ class SolveLimits:
 
 @dataclass
 class SolveResult:
+    """The best support found, its bounds and the search's counters."""
+
     status: str                    # optimal | time_limit | node_limit
     incumbent_z: np.ndarray | None
     incumbent_beta: np.ndarray | None
     upper_bound: float             # cost of the incumbent support
-    lower_bound: float
+    lower_bound: float             # on the same (cost) scale
     objective_value: float         # full objective of the incumbent
-    relative_gap: float
+    objective_lower_bound: float   # const_term + 2 * lower_bound
+    relative_gap: float            # on the cost scale
+    objective_gap: float           # on the objective scale
     node_count: int
     cut_count: int
     wall_time: float
@@ -106,19 +89,13 @@ class SolveResult:
     cuts: list = field(default_factory=list, repr=False)
 
 
-@dataclass
-class _Node:
-    seq: int
-    bound: float
-    fix0: np.ndarray
-    fix1: np.ndarray
-    state: LPState | None = None  # the parent's final LP basis
-
-
 class MasterProgram:
-    """Budget polytope plus the shared cut pool, stored as one <=-row matrix."""
+    """Budget polytope plus the shared cut pool, as one HiGHS model.
 
-    def __init__(self, qf: QuadForm, budget: SparsityBudget):
+    Node LPs stop at `deadline`, a `time.perf_counter` value.
+    """
+
+    def __init__(self, qf: QuadForm, budget: SparsityBudget, deadline: float = np.inf):
         graph = qf.graph
         t_count = graph.vertex_count
         d_count = qf.mu.size // t_count
@@ -135,66 +112,51 @@ class MasterProgram:
         self.base_rows = t_count + t_count * d_count + 1 + 2 * e_count * d_count + 1
         self.eta_lower = -0.5 * float(qf.mu @ qf.mu) / qf.lambda_beta
 
-        cap = self.base_rows + 64
-        self._a = self._zero_rows(cap)
-        self._b = np.zeros(cap)
-        self.m = self.base_rows
-        self._fill_base_rows()
-
-        self.c = np.zeros(self.n_vars)
-        self.c[0] = 1.0
-        self.lower = np.zeros(self.n_vars)
-        self.lower[0] = self.eta_lower
-        self.upper = np.ones(self.n_vars)
-        self.upper[0] = np.inf
+        c = np.zeros(self.n_vars)
+        c[0] = 1.0
+        lower = np.zeros(self.n_vars)
+        lower[0] = self.eta_lower
+        upper = np.ones(self.n_vars)
+        upper[0] = np.inf
+        self.lp = LPModel(c, lower, upper, deadline=deadline)
+        self.lp.add_rows(*self._base_rows())
+        self._z_cols = np.arange(self.z0, self.s0, dtype=np.int32)
 
         self.cuts: dict[bytes, Cut] = {}  # keyed by the anchor's bytes
 
-    def _zero_rows(self, rows: int) -> np.ndarray:
-        """A zero (rows, n_vars) array, refused before allocation if it cannot fit."""
-        nbytes = rows * self.n_vars * np.dtype(np.float64).itemsize
-        limit = physical_memory_bytes()
-        if limit is not None and nbytes > limit:
-            raise ProblemSizeError(
-                f"the exact solver's master program needs a dense {rows} x "
-                f"{self.n_vars} array ({nbytes / 2**30:.1f} GiB), more than the "
-                f"{limit / 2**30:.1f} GiB of physical memory"
-            )
-        return np.zeros((rows, self.n_vars))
+    @property
+    def m(self) -> int:
+        return self.lp.m
 
-    def _fill_base_rows(self) -> None:
-        a, b = self._a, self._b
+    def _base_rows(self):
+        """The budget rows in compressed form: (starts, columns, values, rhs)."""
         t_count, d_count = self.t_count, self.d_count
-        row = 0
-        for t in range(t_count):
-            a[row, self.z0 + t * d_count : self.z0 + (t + 1) * d_count] = 1.0
-            b[row] = float(self.budget.max_per_vertex)
-            row += 1
-        for t in range(t_count):
-            for d in range(d_count):
-                a[row, self.z0 + t * d_count + d] = 1.0
-                a[row, self.s0 + d] = -1.0
-                row += 1
-        a[row, self.s0 : self.s0 + d_count] = 1.0
-        b[row] = float(self.budget.max_global)
-        row += 1
-        for e, (u, v) in enumerate(self.qf.graph.edges):
-            for d in range(d_count):
-                w = self.w0 + e * d_count + d
-                zu = self.z0 + u * d_count + d
-                zv = self.z0 + v * d_count + d
-                a[row, zu] = 1.0
-                a[row, zv] = -1.0
-                a[row, w] = -1.0
-                row += 1
-                a[row, zu] = -1.0
-                a[row, zv] = 1.0
-                a[row, w] = -1.0
-                row += 1
-        a[row, self.w0 :] = 1.0
-        b[row] = float(self.budget.max_changes)
-        row += 1
-        assert row == self.base_rows
+        td = t_count * d_count
+        z = self.z0 + np.arange(td)
+        s = self.s0 + np.arange(d_count)
+        edges = np.asarray(self.qf.graph.edges, dtype=np.int64).reshape(-1, 2)
+        e_count = edges.shape[0]
+        w = self.w0 + np.arange(e_count * d_count)
+        zu = (self.z0 + edges[:, :1] * d_count + np.arange(d_count)).ravel()
+        zv = (self.z0 + edges[:, 1:] * d_count + np.arange(d_count)).ravel()
+        # z_u - z_v - w <= 0 and z_v - z_u - w <= 0, per edge and feature
+        change_cols = np.stack([zu, zv, w], axis=1).repeat(2, axis=0)
+        change_vals = np.tile([[1.0, -1.0, -1.0], [-1.0, 1.0, -1.0]], (e_count * d_count, 1))
+        blocks = (  # (columns, values, entries per row, rhs per row)
+            (z, np.ones(td), d_count, np.full(t_count, float(self.budget.max_per_vertex))),
+            (np.stack([z, s[np.arange(td) % d_count]], axis=1).ravel(),
+             np.tile([1.0, -1.0], td), 2, np.zeros(td)),
+            (s, np.ones(d_count), d_count, np.array([float(self.budget.max_global)])),
+            (change_cols.ravel(), change_vals.ravel(), 3, np.zeros(2 * e_count * d_count)),
+            (w, np.ones(w.size), w.size, np.array([float(self.budget.max_changes)])),
+        )
+        counts = np.concatenate([np.full(rhs.size, k) for _, _, k, rhs in blocks])
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int32)
+        cols = np.concatenate([cols for cols, _, _, _ in blocks]).astype(np.int32)
+        vals = np.concatenate([vals for _, vals, _, _ in blocks])
+        rhs = np.concatenate([rhs for _, _, _, rhs in blocks])
+        assert rhs.size == self.base_rows
+        return starts, cols, vals, rhs
 
     @property
     def cut_count(self) -> int:
@@ -209,34 +171,22 @@ class MasterProgram:
         key = anchor.tobytes()
         if key in self.cuts:
             return False
-        if self.m == self._a.shape[0]:
-            grown_a = self._zero_rows(2 * self._a.shape[0])
-            grown_a[: self.m] = self._a[: self.m]
-            grown_b = np.zeros(2 * self._b.size)
-            grown_b[: self.m] = self._b[: self.m]
-            self._a, self._b = grown_a, grown_b
+        gradient = np.asarray(gradient, dtype=np.float64)
         sigma = max(1.0, float(np.max(np.abs(gradient))))
-        zf = anchor.astype(np.float64)
-        row = self.m
-        self._a[row, 0] = -1.0 / sigma
-        self._a[row, self.z0 : self.s0] = gradient / sigma
-        self._b[row] = (float(gradient @ zf) - cost) / sigma
-        self.m += 1
+        nonzero = np.flatnonzero(gradient)
+        self.lp.add_row(
+            np.concatenate([[0], self.z0 + nonzero]).astype(np.int32),
+            np.concatenate([[-1.0], gradient[nonzero]]) / sigma,
+            (float(gradient @ anchor.astype(np.float64)) - cost) / sigma,
+        )
         self.cuts[key] = Cut(
-            anchor=anchor.astype(bool).copy(), value=cost,
-            gradient=np.asarray(gradient, dtype=np.float64).copy(),
+            anchor=anchor.astype(bool).copy(), value=cost, gradient=gradient.copy(),
         )
         return True
 
-    def node_lp(self, fix0: np.ndarray, fix1: np.ndarray) -> BoxedLinearProgram:
-        lower = self.lower.copy()
-        upper = self.upper.copy()
-        upper[self.z0 : self.s0][fix0] = 0.0
-        lower[self.z0 : self.s0][fix1] = 1.0
-        return BoxedLinearProgram(
-            c=self.c, a=self._a[: self.m], b=self._b[: self.m],
-            lower=lower, upper=upper,
-        )
+    def fix(self, fix0: np.ndarray, fix1: np.ndarray) -> None:
+        """Bound the z columns for one node: fix0 to 0, fix1 to 1, the rest to [0, 1]."""
+        self.lp.set_bounds(self._z_cols, fix1.astype(np.float64), (~fix0).astype(np.float64))
 
 
 def branch_variable(z_values: np.ndarray) -> int:
@@ -269,7 +219,7 @@ def solve_support_selection(
     if limits is None:
         limits = SolveLimits()
     start_time = time.perf_counter()
-    mp = MasterProgram(qf, budget)
+    mp = MasterProgram(qf, budget, deadline=start_time + limits.time_limit)
     td = mp.t_count * mp.d_count
     cut_tol = min(1e-6, limits.gap_tol)
 
@@ -287,11 +237,9 @@ def solve_support_selection(
         upper = ev.cost
 
     seq = 0
-    root = _Node(
-        seq=seq, bound=mp.eta_lower,
-        fix0=np.zeros(td, dtype=bool), fix1=np.zeros(td, dtype=bool),
-    )
-    heap = [(root.bound, root.seq, root)]
+    no_fix = np.zeros(td, dtype=bool)
+    # a node: (bound, seq, fixed to 0, fixed to 1, its parent's final basis)
+    heap = [(mp.eta_lower, seq, no_fix, no_fix, None)]
     node_count = 0
     lower = mp.eta_lower
     status: str | None = None
@@ -313,20 +261,18 @@ def solve_support_selection(
             status = "node_limit"
             break
 
-        node = heapq.heappop(heap)[2]
-        if node.bound >= upper - limits.gap_tol * max(1.0, abs(upper)):
+        bound, _, fix0, fix1, start = heapq.heappop(heap)
+        if bound >= upper - limits.gap_tol * max(1.0, abs(upper)):
             continue
         node_count += 1
 
-        start = node.state
+        mp.fix(fix0, fix1)
         while True:  # lazy-evaluation loop on one node
-            lp = mp.node_lp(node.fix0, node.fix1)
-            res = solve_boxed_lp(lp, start=start)
-            if res.status == "infeasible":
+            res = solve_boxed_lp(mp.lp, start=start)
+            if res.status != "optimal":
                 break
             eta = float(res.x[0])
             z_values = res.x[mp.z0 : mp.s0]
-            node.bound = res.objective
             if res.objective >= upper - limits.gap_tol * max(1.0, abs(upper)):
                 break  # the whole subtree is dominated by the incumbent
             if np.max(np.abs(z_values - np.round(z_values))) <= _INT_TOL:
@@ -351,16 +297,14 @@ def solve_support_selection(
             else:
                 j = branch_variable(z_values)
                 for value in (0, 1):
-                    fix0 = node.fix0.copy()
-                    fix1 = node.fix1.copy()
-                    (fix0 if value == 0 else fix1)[j] = True
+                    child0, child1 = fix0.copy(), fix1.copy()
+                    (child1 if value else child0)[j] = True
                     seq += 1
-                    child = _Node(
-                        seq=seq, bound=res.objective,
-                        fix0=fix0, fix1=fix1, state=res.state,
-                    )
-                    heapq.heappush(heap, (child.bound, child.seq, child))
+                    heapq.heappush(heap, (res.objective, seq, child0, child1, res.state))
                 break
+        if res.status == "time_limit":
+            status = "time_limit"
+            break
 
     if status is None:
         # the heap ran dry: every subtree is resolved
@@ -376,6 +320,7 @@ def solve_support_selection(
     else:
         beta = None
         objective = np.inf
+    objective_lower = qf.const_term + 2.0 * lower
     return SolveResult(
         status=status,
         incumbent_z=incumbent,
@@ -383,7 +328,9 @@ def solve_support_selection(
         upper_bound=upper,
         lower_bound=lower,
         objective_value=objective,
+        objective_lower_bound=objective_lower,
         relative_gap=_relative_gap(upper, lower),
+        objective_gap=_relative_gap(objective, objective_lower),
         node_count=node_count,
         cut_count=mp.cut_count,
         wall_time=elapsed(),

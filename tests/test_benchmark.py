@@ -236,6 +236,22 @@ class TestGenX:
         b = gen_x(p, np.random.default_rng(13))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("n,t,d", [(50, 3, 4), (20, 100, 200), (7, 1, 2), (3, 300, 500)])
+    def test_matches_the_three_tensor_draw(self, n, t, d):
+        # both parts drawn whole, recursed, then summed into a third array;
+        # the blocked draw must give the same bits and leave the same stream
+        p = temporal_params(n=n, t=t, d=d, rho_t=0.3, rho_d=0.2)
+        rng = np.random.default_rng(17)
+        xa = rng.standard_normal((n, t, d))
+        xb = rng.standard_normal((n, t, d))
+        for v in range(1, t):
+            xa[:, v, :] += 0.3 * xa[:, v - 1, :]
+        for j in range(1, d):
+            xb[:, :, j] += 0.2 * xb[:, :, j - 1]
+        lean = np.random.default_rng(17)
+        np.testing.assert_array_equal(gen_x(p, lean), xa + xb)
+        assert lean.standard_normal() == rng.standard_normal()
+
 
 class TestAddNoise:
     def test_huge_snr_leaves_signal_essentially_unchanged(self):

@@ -1,12 +1,25 @@
-"""Bounded-variable simplex vs an independent LP solver (scipy HiGHS)."""
+"""Boxed linear programs on HiGHS, checked against KKT conditions in numpy.
+
+`linprog(method="highs")` runs the same solver, so it only confirms the
+status and the optimal value; optimality itself is checked independently from
+the returned point and row duals.
+"""
+
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from slowreg.simplex import BoxedLinearProgram, _Simplex, solve_boxed_lp
+import slowreg
+from slowreg.highs import BoxedLinearProgram, LPModel, core, solve_boxed_lp
 
 STATUS_FROM_SCIPY = {0: "optimal", 2: "infeasible"}
+KKT_TOL = 1e-7
 
 
 def reference_solve(lp):
@@ -20,6 +33,35 @@ def assert_feasible(lp, x, tol=1e-7):
     assert np.all(lp.a @ x <= lp.b + tol)
     assert np.all(x >= lp.lower - 1e-9)
     assert np.all(x[np.isfinite(lp.upper)] <= lp.upper[np.isfinite(lp.upper)] + 1e-9)
+
+
+def assert_kkt(lp, res, tol=KKT_TOL):
+    """x is feasible, the row duals y <= 0 are complementary to the row slacks,
+    and the reduced costs c - A'y have the sign of the bound each column sits on."""
+    x, y = res.x, res.duals
+    assert_feasible(lp, x)
+    scale = max(1.0, float(np.max(np.abs(lp.a))), float(np.max(np.abs(lp.c))))
+    assert np.all(y <= tol * scale)
+    assert np.all(np.abs(y * (lp.b - lp.a @ x)) <= tol * scale * max(1.0, np.max(np.abs(x))))
+    d = lp.c - lp.a.T @ y
+    above_lower = x > lp.lower + 1e-9
+    below_upper = x < lp.upper - 1e-9
+    assert np.all(d[above_lower] <= tol * scale)   # could fall: must not pay to
+    assert np.all(d[below_upper] >= -tol * scale)  # could rise: must not pay to
+
+
+def basis_of(statuses):
+    """A HiGHS basis from (column statuses, row statuses)."""
+    hc = core()
+    basis = hc.HighsBasis()
+    basis.valid = True
+    basis.col_status, basis.row_status = statuses
+    return basis
+
+
+def basic_columns(state):
+    basic = core().HighsBasisStatus.kBasic
+    return [j for j, status in enumerate(state.col_status) if status == basic]
 
 
 def random_lp(rng, force_feasible):
@@ -50,7 +92,7 @@ class TestAgainstReference:
         ref = reference_solve(lp)
         assert res.status == STATUS_FROM_SCIPY[ref.status]
         if res.status == "optimal":
-            assert_feasible(lp, res.x)
+            assert_kkt(lp, res)
             assert res.objective == pytest.approx(ref.fun, abs=1e-7)
             assert res.objective == pytest.approx(float(lp.c @ res.x), abs=1e-10)
 
@@ -61,7 +103,7 @@ class TestAgainstReference:
         ref = reference_solve(lp)
         assert res.status == STATUS_FROM_SCIPY[ref.status]
         if res.status == "optimal":
-            assert_feasible(lp, res.x)
+            assert_kkt(lp, res)
             assert res.objective == pytest.approx(ref.fun, abs=1e-7)
 
     def test_larger_instance(self):
@@ -78,7 +120,7 @@ class TestAgainstReference:
         ref = reference_solve(lp)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(ref.fun, abs=1e-6)
-        assert_feasible(lp, res.x)
+        assert_kkt(lp, res)
 
 
 class TestHandCases:
@@ -95,7 +137,7 @@ class TestHandCases:
         assert res.objective == pytest.approx(-1.0, abs=1e-12)
 
     def test_dual_cold_start_repairs_violated_row(self):
-        # second row is violated at the slack basis, which the dual phase repairs
+        # second row is violated at the slack basis, which the solve repairs
         lp = BoxedLinearProgram(
             c=[1.0, 2.0],
             a=[[1.0, 1.0], [-1.0, -1.0]],
@@ -108,9 +150,10 @@ class TestHandCases:
         # x must sit on the segment x0 + x1 = 1; cheapest is (1, 0)
         assert res.objective == pytest.approx(1.0, abs=1e-9)
 
-    def test_dual_ratio_tie_takes_largest_pivot(self):
-        # both columns are free of cost, so their dual ratios tie at zero;
-        # entering x0 on its 1e-6 pivot would put it at 5e5
+    def test_zero_cost_tie_gives_a_feasible_optimum(self):
+        # both columns are free of cost, so every feasible point is optimal;
+        # the one returned may sit on the 1e-6 entry (x0 = 5e5) but must meet
+        # the row and the box
         lp = BoxedLinearProgram(
             c=[0.0, 0.0],
             a=[[-1e-6, -1.0]],
@@ -120,7 +163,8 @@ class TestHandCases:
         )
         res = solve_boxed_lp(lp)
         assert res.status == "optimal"
-        assert res.x == pytest.approx([0.0, 0.5], abs=1e-12)
+        assert res.objective == 0.0
+        assert_kkt(lp, res)
 
     def test_infeasible_rows(self):
         lp = BoxedLinearProgram(
@@ -147,10 +191,25 @@ class TestHandCases:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_slack_start_is_dual_feasible(self, seed):
+        # the validation guarantees a dual feasible start: every slack basic
+        # (y = 0, so the reduced costs are c) and each column at the bound its
+        # cost prefers, which is finite; the solve accepts it as a start
         lp = random_lp(np.random.default_rng(seed), force_feasible=False)
-        sx = _Simplex(lp)
-        sx.slack_start()
-        assert sx.dual_feasible()
+        at_upper = lp.c < 0.0
+        assert np.all(np.isfinite(lp.upper[at_upper]))
+        hc = core()
+        status = hc.HighsBasisStatus
+        start = basis_of((
+            [status.kUpper if up else status.kLower for up in at_upper],
+            [status.kBasic] * lp.m,
+        ))
+        res = solve_boxed_lp(lp, start=start)
+        ref = reference_solve(lp)
+        assert res.warm
+        assert res.status == STATUS_FROM_SCIPY[ref.status]
+        if res.status == "optimal":
+            assert_kkt(lp, res)
+            assert res.objective == pytest.approx(ref.fun, abs=1e-7)
 
     def test_bound_flip_only(self):
         # no row ever binds; optimum is a pure bound flip to the upper bound
@@ -257,8 +316,8 @@ class TestWarmStarts:
             lower=lp.lower,
             upper=lp.upper,
         )
-        # the shorter state is extended by the new row inside the solver, and
-        # the dual phase pivots its violated slack out
+        # the shorter state is extended by the new row, which enters with its
+        # violated slack basic
         warm = solve_boxed_lp(lp2, start=first.state)
         cold = solve_boxed_lp(lp2)
         assert warm.warm
@@ -266,7 +325,7 @@ class TestWarmStarts:
         assert warm.status == cold.status == STATUS_FROM_SCIPY[ref.status]
         if warm.status == "optimal":
             assert warm.objective == pytest.approx(ref.fun, abs=1e-7)
-            assert_feasible(lp2, warm.x)
+            assert_kkt(lp2, warm)
 
     def test_appended_satisfied_row(self):
         rng = np.random.default_rng(301)
@@ -300,7 +359,7 @@ class TestWarmStarts:
         res = solve_boxed_lp(lp)
         assert res.status == "optimal"
         # shrink the box so the stored basis is no longer within bounds; its
-        # reduced costs are unchanged, so the dual phase takes it from there
+        # reduced costs are unchanged, so the dual simplex takes it from there
         lp2 = BoxedLinearProgram(
             c=lp.c, a=lp.a, b=lp.b, lower=[0.0, 0.0], upper=[0.25, 0.25]
         )
@@ -327,8 +386,8 @@ def branch_children(seed):
     if first.status != "optimal":
         return []
     frac = [
-        int(j) for j in first.state.basis
-        if j < lp.n and abs(first.x[j] - np.round(first.x[j])) > 1e-6
+        j for j in basic_columns(first.state)
+        if abs(first.x[j] - np.round(first.x[j])) > 1e-6
     ]
     return [(first, branched(lp, first.x, j, side)) for j in frac for side in (0, 1)]
 
@@ -343,7 +402,7 @@ class TestDualWarmStart:
             assert warm.warm and not cold.warm
             assert warm.status == cold.status == STATUS_FROM_SCIPY[ref.status]
             if warm.status == "optimal":
-                assert_feasible(child, warm.x)
+                assert_kkt(child, warm)
                 assert warm.objective == pytest.approx(ref.fun, abs=1e-7)
                 assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
             else:
@@ -375,28 +434,33 @@ class TestDualWarmStart:
         assert res.x is None
 
     def test_unusable_start_falls_back_to_slack_basis(self):
-        # a basis that is not dual feasible for the new costs
+        # a basis of another program, with more rows than this one or with
+        # another column count
         lp = BoxedLinearProgram(
-            c=[-1.0, -1.0], a=[[1.0, 1.0]], b=[1.0],
+            c=[-1.0, -1.0], a=[[1.0, 1.0], [1.0, 0.0]], b=[1.0, 0.75],
             lower=[0.0, 0.0], upper=[1.0, 1.0],
         )
         first = solve_boxed_lp(lp)
-        lp2 = BoxedLinearProgram(
-            c=[1.0, 1.0], a=lp.a, b=lp.b, lower=[0.0, 0.0], upper=[0.25, 0.25]
+        fewer_rows = BoxedLinearProgram(
+            c=[1.0, 1.0], a=lp.a[:1], b=lp.b[:1], lower=[0.0, 0.0], upper=[0.25, 0.25]
         )
-        res = solve_boxed_lp(lp2, start=first.state)
-        assert not res.warm
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(0.0, abs=1e-12)
-
-
-def explicit_basis(sx):
-    return np.column_stack([sx.column(int(j)) for j in sx.basis])
+        more_columns = BoxedLinearProgram(
+            c=[1.0, 1.0, 1.0], a=[[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]], b=lp.b,
+            lower=[0.0, 0.0, 0.0], upper=[0.25, 0.25, 0.25],
+        )
+        for lp2 in (fewer_rows, more_columns):
+            res = solve_boxed_lp(lp2, start=first.state)
+            assert not res.warm
+            assert res.status == "optimal"
+            assert res.objective == pytest.approx(0.0, abs=1e-12)
 
 
 class TestBlockInverse:
+    """A start is installed as exactly that basis, and HiGHS factors it: its
+    basis inverse matches numpy's inverse of the explicit basis [A | I]."""
+
     # structural counts from the all-slack basis (k = 0) to an all-structural
-    # one (k = m), in shuffled slot order
+    # one (k = m)
     @pytest.mark.parametrize("k", range(7))
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_inverse_of_explicit_basis(self, k, seed):
@@ -406,50 +470,49 @@ class TestBlockInverse:
             c=rng.normal(size=n), a=rng.normal(size=(m, n)), b=rng.normal(size=m),
             lower=np.zeros(n), upper=np.ones(n),
         )
-        sx = _Simplex(lp)
         struct = rng.choice(n, size=k, replace=False)
-        slacks = n + rng.choice(m, size=m - k, replace=False)
-        sx.install(rng.permutation(np.concatenate([struct, slacks])),
-                   np.zeros(n + m, dtype=bool))
-        reference = np.linalg.inv(explicit_basis(sx))
-        scale = np.max(np.abs(reference))
-        assert np.max(np.abs(sx.binv - reference)) <= 1e-12 * scale
-        assert np.max(np.abs(sx.binv @ explicit_basis(sx) - np.eye(m))) <= 1e-12 * scale
-
-    def test_singular_structural_block_raises(self):
-        lp = BoxedLinearProgram(
-            c=[1.0, 1.0], a=[[1.0, 2.0], [2.0, 4.0]], b=[1.0, 1.0],
-            lower=[0.0, 0.0], upper=[1.0, 1.0],
+        slacks = rng.choice(m, size=m - k, replace=False)
+        status = core().HighsBasisStatus
+        model = LPModel.from_program(lp)
+        assert model._install(basis_of((
+            [status.kBasic if j in struct else status.kLower for j in range(n)],
+            [status.kBasic if i in slacks else status.kUpper for i in range(m)],
+        )))
+        # HiGHS numbers the slack of row i as -1 - i
+        _, basic = model.highs.getBasicVariables()
+        assert sorted(basic) == sorted([-1 - i for i in slacks] + list(struct))
+        explicit = np.column_stack(
+            [lp.a[:, j] if j >= 0 else np.eye(m)[:, -1 - j] for j in basic]
         )
-        with pytest.raises(np.linalg.LinAlgError):
-            _Simplex(lp).install(np.array([0, 1]), np.zeros(4, dtype=bool))
+        binv = np.array([model.highs.getBasisInverseRow(r)[1] for r in range(m)])
+        reference = np.linalg.inv(explicit)
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(binv - reference)) <= 1e-12 * scale
+        assert np.max(np.abs(binv @ explicit - np.eye(m))) <= 1e-12 * scale
 
 
 class TestCarriedReducedCosts:
-    """The reduced costs the dual phase carries match a fresh computation."""
+    """The row duals of each solve certify its point: fresh reduced costs
+    c - A'y have the sign of the bound each column sits on."""
 
     @staticmethod
-    def dual_pivots(lp, start=None):
-        """Dual phase from `start` (else the slack basis); checks d, returns the pivots."""
-        sx = _Simplex(lp)
-        if start is None or not sx.warm_start(start):
-            sx.slack_start()
-        sx.dual_phase()
-        nonbasic = ~sx.in_basis
-        error = np.abs(sx.d - sx.reduced_costs())[nonbasic]
-        assert np.max(error, initial=0.0) <= 1e-9 * sx.scale
-        return sx.iterations
+    def pivots(lp, start=None):
+        """Solve from `start` (else cold); checks KKT, returns the iterations."""
+        res = solve_boxed_lp(lp, start=start)
+        if res.status == "optimal":
+            assert_kkt(lp, res)
+        return res.iterations
 
     def test_cold_starts(self):
         pivots = [
-            self.dual_pivots(random_lp(np.random.default_rng(500 + seed), False))
+            self.pivots(random_lp(np.random.default_rng(500 + seed), False))
             for seed in range(20)
         ]
         assert sum(p > 0 for p in pivots) >= 10
 
     def test_warm_child_starts(self):
         pivots = [
-            self.dual_pivots(child, first.state)
+            self.pivots(child, first.state)
             for seed in range(400, 430)
             for first, child in branch_children(seed)
         ]
@@ -467,57 +530,14 @@ class TestCarriedReducedCosts:
                 b=np.append(lp.b, rows @ first.x - rng.uniform(0.0, 1.0, size=3)),
                 lower=lp.lower, upper=lp.upper,
             )
-            pivots.append(self.dual_pivots(lp2, first.state))
+            pivots.append(self.pivots(lp2, first.state))
         assert sum(p > 0 for p in pivots) >= 15
 
 
-class TestPointCheck:
-    @pytest.mark.parametrize(
-        "point,message",
-        [([152.3, 0.0], r"x\[0\] above its upper bound"), ([1.0, 1.0], "row 0")],
-    )
-    def test_infeasible_point_raises(self, monkeypatch, point, message):
-        lp = BoxedLinearProgram(
-            c=[-1.0, -1.0], a=[[1.0, 1.0]], b=[1.0],
-            lower=[0.0, 0.0], upper=[1.0, 1.0],
-        )
-        monkeypatch.setattr(_Simplex, "assemble", lambda self: np.array(point))
-        with pytest.raises(RuntimeError, match=message):
-            solve_boxed_lp(lp)
-
-    # draws whose optimal basis holds a structural column, so that moving the
-    # basic values moves the point
-    @pytest.mark.parametrize("seed", [0, 2, 4, 5, 9])
-    def test_drifted_basic_values_are_refactored(self, monkeypatch, seed):
-        # knock the basic values off after the first primal phase, as a
-        # drifted inverse would; one refactor must bring back the optimum
-        lp = random_lp(np.random.default_rng(seed), force_feasible=True)
-        clean = solve_boxed_lp(lp)
-        primal_phase, violation = _Simplex.primal_phase, _Simplex.violation
-        found = []
-
-        def drifting(self):
-            primal_phase(self)
-            if not found:
-                self.x_b = self.x_b - 10.0
-
-        def recording(self, x):
-            found.append(violation(self, x))
-            return found[-1]
-
-        monkeypatch.setattr(_Simplex, "primal_phase", drifting)
-        monkeypatch.setattr(_Simplex, "violation", recording)
-        res = solve_boxed_lp(lp)
-        assert found[0] is not None and found[-1] is None
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(clean.objective, abs=1e-9)
-        assert_feasible(lp, res.x)
-
-
 class TestPrimalCleanUp:
-    # the dual ratio test skips tiny pivots, so the dual phase can stop on a
-    # primal feasible basis with a reduced cost of the wrong sign; from any
-    # such basis the primal phase must reach the optimum
+    # a start that is primal but not dual feasible: every slack basic at
+    # x = 0, where column 0 pays to grow; from it the solve must still reach
+    # the optimum
     @pytest.mark.parametrize("seed", range(10))
     def test_reaches_optimum_from_dual_infeasible_basis(self, seed):
         rng = np.random.default_rng(300 + seed)
@@ -531,15 +551,101 @@ class TestPrimalCleanUp:
             c=c, a=rng.normal(size=(m, n)), b=rng.uniform(0.0, 2.0, size=m),
             lower=np.zeros(n), upper=upper,
         )
-        sx = _Simplex(lp)
-        # x = 0 with every slack basic meets the rows, since b >= 0
-        sx.install(n + np.arange(m), np.zeros(n + m, dtype=bool))
-        assert not sx.dual_feasible()
-        sx.primal_phase()
-        assert sx.dual_feasible()
-        x = sx.assemble()
-        assert_feasible(lp, x)
-        assert float(lp.c @ x) == pytest.approx(reference_solve(lp).fun, abs=1e-9)
+        status = core().HighsBasisStatus
+        # x = 0 with every slack basic meets the rows, since b >= 0; the
+        # reduced cost of x0 there is c0 = -1 at its lower bound
+        start = basis_of(([status.kLower] * n, [status.kBasic] * m))
+        res = solve_boxed_lp(lp, start=start)
+        assert res.warm
+        assert res.status == "optimal"
+        assert_kkt(lp, res)
+        assert res.objective == pytest.approx(reference_solve(lp).fun, abs=1e-9)
+
+
+def hard_model(deadline=np.inf):
+    """A dense 150 x 200 program that takes HiGHS over a hundred pivots."""
+    rng = np.random.default_rng(10)
+    n, m = 200, 150
+    a = rng.normal(size=(m, n))
+    lp = BoxedLinearProgram(
+        c=rng.normal(size=n), a=a, b=a @ np.full(n, 0.5) + 1.0,
+        lower=np.zeros(n), upper=np.ones(n),
+    )
+    model = LPModel.from_program(lp)
+    model.deadline = deadline
+    return lp, model
+
+
+class TestModel:
+    def test_deadline_ends_the_run_with_time_limit(self):
+        _, late = hard_model(deadline=time.perf_counter() - 1.0)
+        res = solve_boxed_lp(late)
+        assert res.status == "time_limit"
+        assert res.x is None and res.state is None
+
+    def test_deadline_counts_from_now_on_a_model_that_ran_before(self):
+        # HiGHS compares its time_limit option with the run time it has
+        # summed over all runs of the model, so the option must carry that sum
+        lp, model = hard_model()
+        first = solve_boxed_lp(model)
+        summed = model.highs.getRunTime()
+        assert summed > 0.0
+        model.deadline = time.perf_counter() + 60.0
+        status = core().HighsBasisStatus
+        again = solve_boxed_lp(model, start=basis_of(([status.kLower] * lp.n,
+                                                      [status.kBasic] * lp.m)))
+        assert again.status == "optimal" and again.iterations > 0
+        assert again.objective == pytest.approx(first.objective, abs=1e-9)
+        assert model.highs.getOptionValue("time_limit")[1] >= summed + 59.0
+
+    def test_scheduler_started_with_another_thread_count(self):
+        # HiGHS shares one scheduler per process; when another user (scipy's
+        # linprog on a larger machine, say) started it with another thread
+        # count, a model asking for one thread is refused and must retry.
+        # A subprocess keeps that scheduler out of the other tests
+        code = "\n".join([
+            "from slowreg.highs import BoxedLinearProgram, core, solve_boxed_lp",
+            "other = core()._Highs()",
+            "other.setOptionValue('output_flag', False)",
+            "other.setOptionValue('threads', 2)",
+            "other.run()",
+            "lp = BoxedLinearProgram(c=[-1.0, -1.0], a=[[1.0, 2.0]], b=[1.0],",
+            "                        lower=[0.0, 0.0], upper=[1.0, 1.0])",
+            "first = solve_boxed_lp(lp)",
+            "again = solve_boxed_lp(lp, start=first.state)",
+            "print(first.status, first.objective, again.warm, again.objective)",
+        ])
+        src = str(Path(slowreg.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["optimal", "-1.0", "True", "-1.0"]
+
+    def test_other_statuses_raise_with_their_name(self):
+        # the model takes any costs; an unbounded column is a fault of the caller
+        model = LPModel(np.array([-1.0]), np.zeros(1), np.full(1, np.inf))
+        model.add_rows(np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32),
+                       np.array([-1.0]), np.array([0.0]))
+        with pytest.raises(RuntimeError, match="Unbounded"):
+            solve_boxed_lp(model)
+
+    def test_held_basis_is_not_installed_again(self, monkeypatch):
+        lp, model = hard_model()
+        first = solve_boxed_lp(model)
+        installs = []
+        install = LPModel._install
+        monkeypatch.setattr(LPModel, "_install", lambda self, s: installs.append(s) or install(self, s))
+        # a cut re-solve: the start is the basis the model holds, and the new
+        # row enters basic inside HiGHS
+        row = np.random.default_rng(11).normal(size=lp.n)
+        model.add_row(np.arange(lp.n, dtype=np.int32), row, float(row @ first.x) - 0.1)
+        again = solve_boxed_lp(model, start=first.state)
+        assert again.warm and installs == []
+        # another start is installed, with the appended row basic
+        third = solve_boxed_lp(model, start=first.state)
+        assert third.warm and installs == [first.state]
+        assert third.objective == pytest.approx(again.objective, abs=1e-9)
 
 
 class TestValidation:
@@ -568,4 +674,5 @@ class TestValidation:
         assert a.iterations == b.iterations
         if a.status == "optimal":
             assert np.array_equal(a.x, b.x)
-            assert np.array_equal(a.state.basis, b.state.basis)
+            assert a.state.col_status == b.state.col_status
+            assert a.state.row_status == b.state.row_status
