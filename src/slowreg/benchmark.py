@@ -71,10 +71,10 @@ class SynthParams:
             raise ValueError(f"need 1 <= k_l <= d, got k_l={self.k_l}, d={self.d}")
         if self.k_c < 0:
             raise ValueError("k_c must be nonnegative")
-        if self.sigma_v < 0.0:
-            raise ValueError("sigma_v must be nonnegative")
-        if not self.xi > 0.0:
-            raise ValueError("xi must be strictly positive")
+        if not 0.0 <= self.sigma_v < math.inf:
+            raise ValueError("sigma_v must be nonnegative and finite")
+        if not 0.0 < self.xi < math.inf:
+            raise ValueError("xi must be strictly positive and finite")
         for name, rho in (("rho_t", self.rho_t), ("rho_d", self.rho_d)):
             if not (0.0 <= rho < 1.0):
                 raise ValueError(f"{name} must lie in [0, 1), got {rho}")
@@ -622,32 +622,17 @@ def tune_static(
 
 
 def run_benchmark(
-    params: SynthParams,
-    time_limit: float = 300.0,
-    gap_tol: float = 1e-6,
-    methods: tuple[str, ...] = ("static", "stepwise", "cutplane"),
-) -> dict:
-    """Generate one dataset and fit it with each requested method.
-
-    Returns a JSON-ready report: parameters, realized budgets, and one entry
-    per method holding its metrics, its regularization weights, and (for the
-    tree search) a solver summary.
-    """
-    return run_benchmark_on(
-        make_synthetic_dataset(params),
-        time_limit=time_limit,
-        gap_tol=gap_tol,
-        methods=methods,
-    )
-
-
-def run_benchmark_on(
     dataset: SynthDataset,
     time_limit: float = 300.0,
     gap_tol: float = 1e-6,
     methods: tuple[str, ...] = ("static", "stepwise", "cutplane"),
 ) -> dict:
-    """Fit an already generated dataset with each requested method."""
+    """Fit a generated dataset with each requested method.
+
+    Returns a JSON-ready report: parameters, realized budgets, and one entry
+    per method holding its metrics, its regularization weights, and (for the
+    tree search) a solver summary.
+    """
     known = {"static", "stepwise", "cutplane"}
     bad = set(methods) - known
     if bad:

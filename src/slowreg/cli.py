@@ -7,18 +7,24 @@ dataset and benchmarks the static, stepwise, and tree-search methods on it.
 `gridsearch` reports the holdout tuning table for either an on-disk or a
 synthetic dataset.
 
+Each flag is declared once, in the argparse table, with its type and its
+default; float flags take finite numbers only and `--seed` a nonnegative
+integer. A flat `key=value` config file presets the flags of the chosen
+command: each value is converted by its flag's own type, the converted
+values become the subparser's defaults, and argv is parsed again, so
+explicit flags win. The parsed namespace is the run configuration.
+
 Reports are JSON documents with a fixed key set per command, sorted keys,
-a `version` field, and the fully resolved configuration for provenance.
+a `version` field, and the resolved configuration for provenance.
 Exit codes: 0 success, 2 usage, 3 I/O, 4 infeasible budgets, 5 internal.
-A flat `key=value` config file can preset any flag; explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +34,7 @@ from .benchmark import (
     SynthParams,
     grid_search,
     make_synthetic_dataset,
-    run_benchmark_on,
+    run_benchmark,
     solver_budget,
     solver_summary,
 )
@@ -44,8 +50,6 @@ EXIT_IO = 3
 EXIT_INFEASIBLE = 4
 EXIT_INTERNAL = 5
 
-DEFAULT_TIME_LIMIT = 300.0
-DEFAULT_GAP_TOL = 1e-6
 ALL_METHODS = ("static", "stepwise", "cutplane")
 
 
@@ -57,77 +61,18 @@ class InputError(ValueError):
     """Missing or malformed input files; maps to exit code 3."""
 
 
-@dataclass
-class RunConfig:
-    """One fully resolved invocation."""
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
-    command: str
-    data: str | None = None
-    graph: str | None = None
-    chain: bool = False
-    kl: int | None = None
-    kg: int | None = None
-    kc: int | None = None
-    lambda_beta: float | None = None
-    lambda_delta: float | None = None
-    grid: bool = False
-    params: SynthParams | None = None
-    methods: tuple[str, ...] = ALL_METHODS
-    dump_data: str | None = None
-    time_limit: float = DEFAULT_TIME_LIMIT
-    gap_tol: float = DEFAULT_GAP_TOL
-    seed: int = 0
-    holdout: float = 0.3
-    standardize: bool = False
-    output: str | None = None
-    omit_timings: bool = False
 
-    def resolved(self) -> dict:
-        """The provenance block embedded in every JSON report."""
-        common = {
-            "seed": self.seed,
-            "time_limit": self.time_limit,
-            "gap_tol": self.gap_tol,
-            "output": self.output,
-            "omit_timings": self.omit_timings,
-        }
-        if self.command == "fit":
-            return {
-                "command": "fit",
-                "data": self.data,
-                "graph": self.graph,
-                "chain": self.chain,
-                "kl": self.kl, "kg": self.kg, "kc": self.kc,
-                "lambda_beta": self.lambda_beta,
-                "lambda_delta": self.lambda_delta,
-                "grid": self.grid,
-                "standardize": self.standardize,
-                **common,
-            }
-        if self.command == "synth":
-            return {
-                "command": "synth",
-                **{f"params_{k}": v for k, v in self.params.to_dict().items()},
-                "methods": ",".join(self.methods),
-                "dump_data": self.dump_data,
-                **common,
-            }
-        out = {
-            "command": "gridsearch",
-            "holdout": self.holdout,
-            **common,
-        }
-        if self.data is not None:
-            out.update(
-                data=self.data, graph=self.graph, chain=self.chain,
-                kl=self.kl, kg=self.kg, kc=self.kc,
-                standardize=self.standardize,
-            )
-        else:
-            out.update(
-                {f"params_{k}": v for k, v in self.params.to_dict().items()}
-            )
-        return out
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
 
 
 _BOOL_WORDS = {
@@ -135,20 +80,19 @@ _BOOL_WORDS = {
     "0": False, "false": False, "no": False, "off": False,
 }
 
-# dest -> converter, for config-file values
-_CONVERTERS = {
-    "data": str, "graph": str, "chain": "bool",
-    "kl": int, "kg": int, "kc": int,
-    "lambda_beta": float, "lambda_delta": float, "grid": "bool",
-    "mode": str, "n": int, "t": int, "d": int, "e": int,
-    "sigma_v": float, "xi": float, "rho_t": float, "rho_d": float,
-    "seed": int, "time_limit": float, "gap_tol": float,
-    "standardize": "bool", "output": str, "dump_data": str,
-    "omit_timings": "bool", "methods": str, "holdout": float,
+# the report's `config` block: these keys for every command, then the data
+# inputs or the synthetic parameters (`params_*`), then the command's own
+_COMMON_KEYS = ("command", "seed", "time_limit", "gap_tol", "output", "omit_timings")
+_DATA_KEYS = ("data", "graph", "chain", "kl", "kg", "kc", "standardize")
+_COMMAND_KEYS = {
+    "fit": ("lambda_beta", "lambda_delta", "grid"),
+    "synth": ("methods", "dump_data"),
+    "gridsearch": ("holdout",),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The top-level parser and its subparsers action."""
     parser = argparse.ArgumentParser(
         prog="slowreg",
         description="Sparse regression with slowly varying coefficients "
@@ -157,105 +101,106 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def flag(p, name, **kw):
-        kw.setdefault("default", None)
-        p.add_argument(name, **kw)
-
-    def boolean(p, name, help_text):
-        p.add_argument(
-            name, action="store_const", const=True, default=None, help=help_text
-        )
-
     def common(p):
-        flag(p, "--config", help="flat key=value file presetting any flag")
-        flag(p, "--seed", type=int, help="RNG seed (default 0)")
-        flag(p, "--time-limit", type=float,
-             help=f"solver wall-clock budget in seconds (default {DEFAULT_TIME_LIMIT:g})")
-        flag(p, "--gap-tol", type=float,
-             help=f"relative optimality gap target (default {DEFAULT_GAP_TOL:g})")
-        flag(p, "--output", help="write the JSON report here instead of stdout")
-        boolean(p, "--omit-timings", "zero out wall-clock fields for reproducible output")
+        p.add_argument("--config", help="flat key=value file presetting any flag")
+        p.add_argument("--seed", type=nonnegative_int, default=0,
+                       help="RNG seed (default %(default)s)")
+        p.add_argument("--time-limit", type=finite_float, default=300.0,
+                       help="solver wall-clock budget in seconds (default %(default)g)")
+        p.add_argument("--gap-tol", type=finite_float, default=1e-6,
+                       help="relative optimality gap target (default %(default)g)")
+        p.add_argument("--output", help="write the JSON report here instead of stdout")
+        p.add_argument("--omit-timings", action="store_true",
+                       help="zero out wall-clock fields for reproducible output")
 
     def budgets(p):
-        flag(p, "--kl", type=int, help="max nonzero features per vertex")
-        flag(p, "--kg", type=int, help="max distinct features overall")
-        flag(p, "--kc", type=int, help="max support changes summed over edges")
+        p.add_argument("--kl", type=int, help="max nonzero features per vertex")
+        p.add_argument("--kg", type=int, help="max distinct features overall")
+        p.add_argument("--kc", type=int, help="max support changes summed over edges")
 
     def data_inputs(p):
-        flag(p, "--data", help="observation CSV (vertex,y,x0..)")
-        flag(p, "--graph", help="edge-list file, one 's t' pair per line")
-        boolean(p, "--chain", "use the chain graph 0-1-...-T-1 instead of a file")
-        boolean(p, "--standardize",
-                "standardize features and response to zero mean, unit variance")
+        p.add_argument("--data", help="observation CSV (vertex,y,x0..)")
+        p.add_argument("--graph", help="edge-list file, one 's t' pair per line")
+        p.add_argument("--chain", action="store_true",
+                       help="use the chain graph 0-1-...-T-1 instead of a file")
+        p.add_argument("--standardize", action="store_true",
+                       help="standardize features and response to zero mean, unit variance")
 
     def synth_inputs(p):
-        flag(p, "--mode", choices=("temporal", "spatial"),
-             help="generator family (default temporal)")
-        flag(p, "--n", type=int, help="rows per vertex")
-        flag(p, "--t", type=int, help="number of vertices")
-        flag(p, "--d", type=int, help="number of features")
-        flag(p, "--e", type=int, help="edge count (spatial mode)")
-        flag(p, "--sigma-v", type=float, help="coefficient drift bound (default 0)")
-        flag(p, "--xi", type=float, help="signal-to-noise ratio (default 2)")
-        flag(p, "--rho-t", type=float, help="design correlation across vertices")
-        flag(p, "--rho-d", type=float, help="design correlation across features")
+        # no defaults here: SynthParams owns them
+        p.add_argument("--mode", choices=("temporal", "spatial"),
+                       help="generator family (default temporal)")
+        p.add_argument("--n", type=int, help="rows per vertex")
+        p.add_argument("--t", type=int, help="number of vertices")
+        p.add_argument("--d", type=int, help="number of features")
+        p.add_argument("--e", type=int, help="edge count (spatial mode)")
+        p.add_argument("--sigma-v", type=finite_float,
+                       help="coefficient drift bound (default 0)")
+        p.add_argument("--xi", type=finite_float, help="signal-to-noise ratio (default 2)")
+        p.add_argument("--rho-t", type=finite_float,
+                       help="design correlation across vertices")
+        p.add_argument("--rho-d", type=finite_float,
+                       help="design correlation across features")
 
     p_fit = sub.add_parser("fit", help="fit one dataset from files")
     data_inputs(p_fit)
     budgets(p_fit)
-    flag(p_fit, "--lambda-beta", type=float, help="ridge weight (with --lambda-delta)")
-    flag(p_fit, "--lambda-delta", type=float, help="smoothness weight")
-    boolean(p_fit, "--grid", "tune both weights by holdout grid search (default "
-                             "when no explicit weights are given)")
+    p_fit.add_argument("--lambda-beta", type=finite_float,
+                       help="ridge weight (with --lambda-delta)")
+    p_fit.add_argument("--lambda-delta", type=finite_float, help="smoothness weight")
+    p_fit.add_argument("--grid", action="store_true",
+                       help="tune both weights by holdout grid search (default "
+                            "when no explicit weights are given)")
     common(p_fit)
 
     p_synth = sub.add_parser("synth", help="generate and benchmark a synthetic dataset")
     synth_inputs(p_synth)
     budgets(p_synth)
-    flag(p_synth, "--methods",
-         help="comma list from static,stepwise,cutplane (default all)")
-    flag(p_synth, "--dump-data",
-         help="also write train/test/beta/graph/meta files with this prefix")
+    p_synth.add_argument("--methods",
+                         help="comma list from static,stepwise,cutplane (default all)")
+    p_synth.add_argument("--dump-data",
+                         help="also write train/test/beta/graph/meta files with this prefix")
     common(p_synth)
 
     p_gs = sub.add_parser("gridsearch", help="holdout tuning table")
     data_inputs(p_gs)
     synth_inputs(p_gs)
     budgets(p_gs)
-    flag(p_gs, "--holdout", type=float, help="holdout fraction (default 0.3)")
+    p_gs.add_argument("--holdout", type=finite_float, default=0.3,
+                      help="holdout fraction (default %(default)s)")
     common(p_gs)
 
-    return parser
+    return parser, sub
 
 
-def _apply_config_file(ns: dict, path: str) -> None:
-    """Fill unset argparse values from a key=value file."""
+def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
+    """A key=value file's values, each converted by its flag's own action."""
     try:
         pairs = read_metadata(path)
     except OSError as exc:
         raise InputError(f"cannot read config file: {exc}") from None
     except ValueError as exc:
         raise InputError(str(exc)) from None
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    values = {}
     for key, raw in pairs.items():
-        dest = key.strip().lower().replace("-", "_")
-        if dest not in _CONVERTERS or dest not in ns:
+        action = actions.get(key.lower().replace("-", "_"))
+        if action is None:
             raise UsageError(f"unknown config key {key!r} for this command")
-        conv = _CONVERTERS[dest]
         try:
-            if conv == "bool":
-                value = _BOOL_WORDS[raw.strip().lower()]
+            if action.nargs == 0:
+                values[action.dest] = _BOOL_WORDS[raw.lower()]
             else:
-                value = conv(raw)
+                values[action.dest] = (action.type or str)(raw)
         except (KeyError, ValueError):
             raise UsageError(f"bad value {raw!r} for config key {key!r}") from None
-        if ns[dest] is None:
-            ns[dest] = value
+    return values
 
 
-def _require(ns: dict, names: list[str], command: str) -> None:
-    missing = [f"--{n.replace('_', '-')}" for n in names if ns.get(n) is None]
+def _require(ns, names: list[str], what: str) -> None:
+    missing = [f"--{n.replace('_', '-')}" for n in names if getattr(ns, n) is None]
     if missing:
-        raise UsageError(f"{command}: missing required {', '.join(missing)}")
+        raise UsageError(f"{what}: missing required {', '.join(missing)}")
 
 
 def _existing(path: str, what: str) -> str:
@@ -264,110 +209,93 @@ def _existing(path: str, what: str) -> str:
     return path
 
 
-def _synth_params(ns: dict, command: str) -> SynthParams:
-    _require(ns, ["n", "t", "d", "kl"], command)
-    mode = ns.get("mode") or "temporal"
-    if mode == "spatial":
-        _require(ns, ["kg", "e"], f"{command} --mode spatial")
+def _synth_params(ns) -> SynthParams:
+    """The synthetic parameters from the flags given; SynthParams fills the rest."""
+    _require(ns, ["n", "t", "d", "kl"], ns.command)
+    if ns.mode == "spatial":
+        _require(ns, ["kg", "e"], f"{ns.command} --mode spatial")
+    given = {"k_l": ns.kl, "k_c": ns.kc, "k_g": ns.kg}
+    for name in ("n", "t", "d", "e", "sigma_v", "xi", "rho_t", "rho_d", "mode", "seed"):
+        given[name] = getattr(ns, name)
     try:
-        return SynthParams(
-            n=ns["n"], t=ns["t"], d=ns["d"],
-            k_l=ns["kl"], k_c=ns.get("kc") or 0, k_g=ns.get("kg"),
-            sigma_v=ns.get("sigma_v") or 0.0,
-            xi=ns.get("xi") if ns.get("xi") is not None else 2.0,
-            rho_t=ns.get("rho_t") or 0.0, rho_d=ns.get("rho_d") or 0.0,
-            e=ns.get("e"), mode=mode, seed=ns.get("seed") or 0,
-        )
+        return SynthParams(**{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
-def _data_inputs(ns: dict, cfg: RunConfig, command: str) -> None:
-    """The data file, its graph, the budgets and --standardize into cfg."""
-    _require(ns, ["data", "kl", "kg", "kc"], command)
-    cfg.data = _existing(ns["data"], "data")
-    cfg.chain = bool(ns.get("chain"))
-    if cfg.chain and ns.get("graph"):
-        raise UsageError(f"{command}: give --graph or --chain, not both")
-    if not cfg.chain:
-        if not ns.get("graph"):
+def _check_data_inputs(ns) -> None:
+    """The data file, its graph and the budgets that `fit` and data mode need."""
+    _require(ns, ["data", "kl", "kg", "kc"], ns.command)
+    _existing(ns.data, "data")
+    if ns.chain and ns.graph is not None:
+        raise UsageError(f"{ns.command}: give --graph or --chain, not both")
+    if not ns.chain:
+        if not ns.graph:
             raise UsageError(
-                f"{command}: a graph is required (--graph FILE or --chain)"
+                f"{ns.command}: a graph is required (--graph FILE or --chain)"
             )
-        cfg.graph = _existing(ns["graph"], "graph")
-    cfg.kl, cfg.kg, cfg.kc = ns["kl"], ns["kg"], ns["kc"]
-    cfg.standardize = bool(ns.get("standardize"))
+        _existing(ns.graph, "graph")
 
 
-def parse_config(argv=None) -> RunConfig:
-    """argv (or sys.argv) plus an optional config file into a RunConfig."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
+def parse_config(argv=None) -> argparse.Namespace:
+    """argv (or sys.argv) plus an optional config file, checked: the run config."""
+    parser, sub = _build_parser()
+    ns = parser.parse_args(argv)
+    if ns.command is None:
         parser.print_usage(sys.stderr)
         raise UsageError("a command is required: fit, synth, gridsearch")
-    ns = vars(args)
-    if ns.get("config"):
-        _apply_config_file(ns, _existing(ns["config"], "config"))
+    if ns.config:
+        command_parser = sub.choices[ns.command]
+        command_parser.set_defaults(
+            **_config_defaults(command_parser, _existing(ns.config, "config"))
+        )
+        ns = parser.parse_args(argv)
 
-    command = ns["command"]
-    cfg = RunConfig(command=command)
-    cfg.seed = ns.get("seed") or 0
-    cfg.time_limit = (
-        ns["time_limit"] if ns.get("time_limit") is not None else DEFAULT_TIME_LIMIT
-    )
-    cfg.gap_tol = ns["gap_tol"] if ns.get("gap_tol") is not None else DEFAULT_GAP_TOL
-    if cfg.time_limit < 0.0:
+    if ns.time_limit < 0.0:
         raise UsageError("--time-limit must be nonnegative")
-    if not cfg.gap_tol > 0.0:
+    if not ns.gap_tol > 0.0:
         raise UsageError("--gap-tol must be positive")
-    cfg.output = ns.get("output")
-    cfg.omit_timings = bool(ns.get("omit_timings"))
+    if ns.command == "gridsearch" and not 0.0 < ns.holdout < 1.0:
+        raise UsageError("gridsearch: --holdout must lie strictly between 0 and 1")
+    # gridsearch runs on --data when it is given, on a synthetic dataset otherwise
+    if ns.command == "synth" or (ns.command == "gridsearch" and not ns.data):
+        ns.params = _synth_params(ns)
+    else:
+        ns.params = None
+        _check_data_inputs(ns)
 
-    if command == "fit":
-        _data_inputs(ns, cfg, "fit")
-        has_lb = ns.get("lambda_beta") is not None
-        has_ld = ns.get("lambda_delta") is not None
-        wants_grid = bool(ns.get("grid"))
-        if wants_grid and (has_lb or has_ld):
+    if ns.command == "fit":
+        has_lb = ns.lambda_beta is not None
+        has_ld = ns.lambda_delta is not None
+        if ns.grid and (has_lb or has_ld):
             raise UsageError("fit: --grid conflicts with explicit --lambda-beta/"
                              "--lambda-delta")
         if has_lb != has_ld:
             raise UsageError("fit: give both --lambda-beta and --lambda-delta, "
                              "or neither")
-        if has_lb:
-            if ns["lambda_beta"] <= 0.0 or ns["lambda_delta"] < 0.0:
-                raise UsageError("fit: lambda-beta must be positive and "
-                                 "lambda-delta nonnegative")
-            cfg.lambda_beta = ns["lambda_beta"]
-            cfg.lambda_delta = ns["lambda_delta"]
-            cfg.grid = False
-        else:
-            cfg.grid = True
-        return cfg
+        if has_lb and (ns.lambda_beta <= 0.0 or ns.lambda_delta < 0.0):
+            raise UsageError("fit: lambda-beta must be positive and "
+                             "lambda-delta nonnegative")
+        ns.grid = not has_lb
+    elif ns.command == "synth":
+        listed = ns.methods or ",".join(ALL_METHODS)
+        methods = [m.strip() for m in listed.split(",") if m.strip()]
+        if not methods or set(methods) - set(ALL_METHODS):
+            raise UsageError(
+                f"synth: --methods must name some of {','.join(ALL_METHODS)}"
+            )
+        ns.methods = ",".join(methods)
+    return ns
 
-    if command == "synth":
-        cfg.params = _synth_params(ns, "synth")
-        if ns.get("methods"):
-            methods = tuple(m.strip() for m in ns["methods"].split(",") if m.strip())
-            bad = set(methods) - set(ALL_METHODS)
-            if bad or not methods:
-                raise UsageError(
-                    f"synth: --methods must name some of {','.join(ALL_METHODS)}"
-                )
-            cfg.methods = methods
-        cfg.dump_data = ns.get("dump_data")
-        return cfg
 
-    # gridsearch: data mode when --data is given, synthetic mode otherwise
-    cfg.holdout = ns["holdout"] if ns.get("holdout") is not None else 0.3
-    if not (0.0 < cfg.holdout < 1.0):
-        raise UsageError("gridsearch: --holdout must lie strictly between 0 and 1")
-    if ns.get("data"):
-        _data_inputs(ns, cfg, "gridsearch")
+def _provenance(ns) -> dict:
+    """The report's `config` block: the resolved flags of this command."""
+    out = {key: getattr(ns, key) for key in _COMMON_KEYS + _COMMAND_KEYS[ns.command]}
+    if ns.params is None:
+        out.update((key, getattr(ns, key)) for key in _DATA_KEYS)
     else:
-        cfg.params = _synth_params(ns, "gridsearch")
-    return cfg
+        out.update((f"params_{k}", v) for k, v in ns.params.to_dict().items())
+    return out
 
 
 def _standardize_blocks(x_blocks, y_blocks):
@@ -390,207 +318,155 @@ def _standardize_blocks(x_blocks, y_blocks):
     return xs, ys, stats
 
 
-def _load_fit_inputs(cfg: RunConfig):
+def _load_fit_inputs(ns):
     """CSV + graph into an instance, optionally standardized; errors map to I/O.
 
     Both weights of the instance sit at the mean row count, where the
     tuning grid is anchored.
     """
     try:
-        x_blocks, y_blocks = read_data_csv(cfg.data)
-    except OSError as exc:
+        x_blocks, y_blocks = read_data_csv(ns.data)
+        t = len(x_blocks)
+        graph = SimilarityGraph.chain(t) if ns.chain else read_edge_list(ns.graph, t)
+    except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from None
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    t = len(x_blocks)
-    if cfg.chain:
-        graph = SimilarityGraph.chain(t)
-    else:
-        try:
-            graph = read_edge_list(cfg.graph, t)
-        except OSError as exc:
-            raise InputError(str(exc)) from None
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
     scaling = None
-    if cfg.standardize:
+    if ns.standardize:
         x_blocks, y_blocks, scaling = _standardize_blocks(x_blocks, y_blocks)
     anchor = float(np.mean([x.shape[0] for x in x_blocks]))
     instance = ProblemInstance(graph, tuple(x_blocks), tuple(y_blocks), anchor, anchor)
     return instance, scaling
 
 
-def _run_fit(cfg: RunConfig) -> dict:
-    instance, scaling = _load_fit_inputs(cfg)
-    t, d = instance.vertex_count, instance.feature_count
-    budget = SparsityBudget(
-        max_per_vertex=cfg.kl, max_global=cfg.kg, max_changes=cfg.kc
-    )
-    budget.validate(t, d)
+def _budget(ns, instance: ProblemInstance) -> SparsityBudget:
+    budget = SparsityBudget(max_per_vertex=ns.kl, max_global=ns.kg, max_changes=ns.kc)
+    budget.validate(instance.vertex_count, instance.feature_count)
+    return budget
 
-    if cfg.grid:
-        gs = grid_search(instance, budget, seed=cfg.seed)
-        instance = gs.instance
-        warm = gs.fit
+
+def _dataset(ns):
+    try:
+        return make_synthetic_dataset(ns.params)
+    except ValueError as exc:
+        raise UsageError(f"{ns.command}: {exc}") from None
+
+
+def _stepwise_block(fit) -> dict:
+    return {
+        "cost": fit.cost,
+        "removal_iterations": fit.removal_iterations,
+        "initial_union_size": fit.initial_union_size,
+    }
+
+
+def _run_fit(ns) -> dict:
+    instance, scaling = _load_fit_inputs(ns)
+    t, d = instance.vertex_count, instance.feature_count
+    budget = _budget(ns, instance)
+    if ns.grid:
+        gs = grid_search(instance, budget, seed=ns.seed)
+        instance, warm = gs.instance, gs.fit
         lambda_beta, lambda_delta = gs.lambda_beta, gs.lambda_delta
     else:
-        instance = instance.with_weights(cfg.lambda_beta, cfg.lambda_delta)
-        warm = stepwise_fit(instance, budget, seed=cfg.seed)
-        lambda_beta, lambda_delta = cfg.lambda_beta, cfg.lambda_delta
+        lambda_beta, lambda_delta = ns.lambda_beta, ns.lambda_delta
+        instance = instance.with_weights(lambda_beta, lambda_delta)
+        warm = stepwise_fit(instance, budget, seed=ns.seed)
 
-    qf = build_quadform(instance)
-    limits = SolveLimits(time_limit=cfg.time_limit, gap_tol=cfg.gap_tol)
-    res = solve_support_selection(qf, budget, warm_start=warm.z, limits=limits)
-
+    limits = SolveLimits(time_limit=ns.time_limit, gap_tol=ns.gap_tol)
+    res = solve_support_selection(
+        build_quadform(instance), budget, warm_start=warm.z, limits=limits
+    )
     solver = solver_summary(res)
-    if cfg.omit_timings:
+    if ns.omit_timings:
         solver["wall_time"] = 0.0
-    beta = res.incumbent_beta.reshape(t, d)
-    support = res.incumbent_z.reshape(t, d).astype(int)
     return {
-        "version": __version__,
-        "command": "fit",
-        "config": cfg.resolved(),
         "lambda_beta": lambda_beta,
         "lambda_delta": lambda_delta,
-        "stepwise": {
-            "cost": warm.cost,
-            "removal_iterations": warm.removal_iterations,
-            "initial_union_size": warm.initial_union_size,
-        },
+        "stepwise": _stepwise_block(warm),
         "solver": solver,
-        "coefficients": beta.tolist(),
-        "support": support.tolist(),
+        "coefficients": res.incumbent_beta.reshape(t, d).tolist(),
+        "support": res.incumbent_z.reshape(t, d).astype(int).tolist(),
         "scaling": scaling,
     }
 
 
-def _run_synth(cfg: RunConfig) -> dict:
-    try:
-        dataset = make_synthetic_dataset(cfg.params)
-    except ValueError as exc:
-        raise UsageError(f"synth: {exc}") from None
+def _run_synth(ns) -> dict:
+    dataset = _dataset(ns)
     dump_paths = None
-    if cfg.dump_data:
+    if ns.dump_data:
         try:
-            dump_paths = dump_dataset(cfg.dump_data, dataset)
+            dump_paths = dump_dataset(ns.dump_data, dataset)
         except OSError as exc:
             raise InputError(f"cannot dump dataset: {exc}") from None
-    report = run_benchmark_on(
+    report = run_benchmark(
         dataset,
-        time_limit=cfg.time_limit,
-        gap_tol=cfg.gap_tol,
-        methods=cfg.methods,
+        time_limit=ns.time_limit,
+        gap_tol=ns.gap_tol,
+        methods=tuple(ns.methods.split(",")),
     )
-    if cfg.omit_timings:
+    if ns.omit_timings:
         for method in report["methods"].values():
             method["metrics"]["fit_time_s"] = 0.0
             if "solver" in method:
                 method["solver"]["wall_time"] = 0.0
-    return {
-        "version": __version__,
-        "command": "synth",
-        "config": cfg.resolved(),
-        "dump_paths": dump_paths,
-        **report,
-    }
+    return {"dump_paths": dump_paths, **report}
 
 
-def _run_gridsearch(cfg: RunConfig) -> dict:
-    if cfg.data is not None:
-        instance, _ = _load_fit_inputs(cfg)
-        budget = SparsityBudget(
-            max_per_vertex=cfg.kl, max_global=cfg.kg, max_changes=cfg.kc
-        )
-        budget.validate(instance.vertex_count, instance.feature_count)
+def _run_gridsearch(ns) -> dict:
+    if ns.params is None:
+        instance, _ = _load_fit_inputs(ns)
+        budget = _budget(ns, instance)
     else:
-        try:
-            dataset = make_synthetic_dataset(cfg.params)
-        except ValueError as exc:
-            raise UsageError(f"gridsearch: {exc}") from None
-        budget = solver_budget(dataset)
-        instance = dataset.instance
-    gs = grid_search(
-        instance, budget, holdout_fraction=cfg.holdout, seed=cfg.seed
-    )
+        dataset = _dataset(ns)
+        instance, budget = dataset.instance, solver_budget(dataset)
+    gs = grid_search(instance, budget, holdout_fraction=ns.holdout, seed=ns.seed)
     return {
-        "version": __version__,
-        "command": "gridsearch",
-        "config": cfg.resolved(),
         "best": {
             "lambda_beta": gs.lambda_beta,
             "lambda_delta": gs.lambda_delta,
             "holdout_r2": gs.holdout_r2,
         },
         "table": gs.table,
-        "stepwise": {
-            "cost": gs.fit.cost,
-            "removal_iterations": gs.fit.removal_iterations,
-            "initial_union_size": gs.fit.initial_union_size,
-        },
+        "stepwise": _stepwise_block(gs.fit),
     }
 
 
-def _emit(report: dict, cfg: RunConfig) -> None:
+_RUNNERS = {"fit": _run_fit, "synth": _run_synth, "gridsearch": _run_gridsearch}
+
+
+def _emit(report: dict, output: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if cfg.output:
-        try:
-            with open(cfg.output, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write report: {exc}") from None
-    else:
+    if not output:
         sys.stdout.write(text)
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute a parsed configuration; returns the process exit code."""
-    if cfg.command == "fit":
-        report = _run_fit(cfg)
-    elif cfg.command == "synth":
-        report = _run_synth(cfg)
-    else:
-        report = _run_gridsearch(cfg)
-    _emit(report, cfg)
-    return EXIT_OK
+        return
+    try:
+        with open(output, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write report: {exc}") from None
 
 
 def main(argv=None) -> int:
+    """Parse, run and report one command; returns the process exit code."""
     try:
-        cfg = parse_config(argv)
+        ns = parse_config(argv)
+        report = _RUNNERS[ns.command](ns)
+        _emit({"version": __version__, "command": ns.command,
+               "config": _provenance(ns), **report}, ns.output)
+        return EXIT_OK
     except SystemExit as exc:
         # argparse already printed its message (usage errors exit 2)
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_USAGE
-    except UsageError as exc:
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except (UsageError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
-        return run(cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_IO
     except BudgetError as exc:
         print(f"error: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -184,28 +184,3 @@ def dense_coupled_matrix(qf: QuadForm) -> np.ndarray:
     n = qf.vertex_count * qf.feature_count
     return np.column_stack([qf.matvec(e) for e in np.eye(n)])
 
-
-def verify_penrose(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> bool:
-    """Whether b satisfies all four Moore-Penrose conditions for a."""
-    ab, ba = a @ b, b @ a
-    checks = (
-        np.allclose(ab @ a, a, rtol=0.0, atol=tol),
-        np.allclose(ba @ b, b, rtol=0.0, atol=tol),
-        np.allclose(ab, ab.T, rtol=0.0, atol=tol),
-        np.allclose(ba, ba.T, rtol=0.0, atol=tol),
-    )
-    return all(checks)
-
-
-def relaxation_family_value(a: float, m: float, mu: float, lam: float, z: float) -> float:
-    """One-dimensional relaxation family -mu^2 z^a / (lam + m z^a).
-
-    Members with a <= 1 are convex on [0, 1]; a = 1 is the member the support
-    relaxation actually uses.
-    """
-    if a <= 0.0:
-        raise ValueError("exponent a must be positive")
-    if z < 0.0:
-        raise ValueError("z must be nonnegative")
-    za = z ** a
-    return -(mu * mu) * za / (lam + m * za)

@@ -20,6 +20,7 @@ term is what keeps every restricted system invertible).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,10 +81,10 @@ class ProblemInstance:
                 )
         if d0 < 1:
             raise ValueError("need at least one feature")
-        if not self.lambda_beta > 0.0:
-            raise ValueError("lambda_beta must be strictly positive")
-        if self.lambda_delta < 0.0:
-            raise ValueError("lambda_delta must be nonnegative")
+        if not 0.0 < self.lambda_beta < math.inf:
+            raise ValueError("lambda_beta must be strictly positive and finite")
+        if not 0.0 <= self.lambda_delta < math.inf:
+            raise ValueError("lambda_delta must be nonnegative and finite")
         object.__setattr__(self, "x_blocks", xs)
         object.__setattr__(self, "y_blocks", ys)
 

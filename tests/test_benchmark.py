@@ -62,7 +62,8 @@ class TestSynthParams:
         [
             ("n", 0), ("t", 0), ("d", 0), ("k_l", 0), ("k_l", 11),
             ("k_c", -1), ("sigma_v", -0.1), ("xi", 0.0),
-            ("rho_t", 1.0), ("rho_d", -0.2),
+            ("rho_t", 1.0), ("rho_d", -0.2), ("sigma_v", np.nan),
+            ("sigma_v", np.inf), ("xi", np.nan), ("xi", np.inf),
         ],
     )
     def test_rejects_bad_scalars(self, field, value):
@@ -651,7 +652,7 @@ class TestDatasetAssembly:
 class TestRunBenchmark:
     def test_three_methods_and_stable_keys(self):
         p = temporal_params(n=40, t=3, d=6, k_l=2, k_c=1, seed=38)
-        rep = run_benchmark(p, time_limit=30.0)
+        rep = run_benchmark(make_synthetic_dataset(p), time_limit=30.0)
         assert set(rep) == {"params", "budget", "metadata", "methods"}
         assert set(rep["methods"]) == {"static", "stepwise", "cutplane"}
         for name in ("static", "stepwise", "cutplane"):
@@ -669,8 +670,8 @@ class TestRunBenchmark:
 
     def test_deterministic_given_seed(self):
         p = temporal_params(n=30, t=3, d=5, k_l=1, k_c=0, seed=39)
-        a = run_benchmark(p, time_limit=30.0)
-        b = run_benchmark(p, time_limit=30.0)
+        a = run_benchmark(make_synthetic_dataset(p), time_limit=30.0)
+        b = run_benchmark(make_synthetic_dataset(p), time_limit=30.0)
         for rep in (a, b):
             for method in rep["methods"].values():
                 method["metrics"].pop("fit_time_s")
@@ -680,7 +681,7 @@ class TestRunBenchmark:
 
     def test_method_subset_and_validation(self):
         p = temporal_params(n=30, t=3, d=5, k_l=1, k_c=0, seed=40)
-        rep = run_benchmark(p, methods=("static",))
+        rep = run_benchmark(make_synthetic_dataset(p), methods=("static",))
         assert set(rep["methods"]) == {"static"}
         with pytest.raises(ValueError):
-            run_benchmark(p, methods=("ols",))
+            run_benchmark(make_synthetic_dataset(p), methods=("ols",))

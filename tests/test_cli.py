@@ -1,11 +1,16 @@
 """The command-line entry point, run in process."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slowreg
 from slowreg import (
     SimilarityGraph,
     SolveLimits,
@@ -120,6 +125,35 @@ class TestExitCodes:
         }[case]
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case,flag,value",
+        [
+            ("fit", "--seed", "-1"),
+            ("gridsearch", "--seed", "-1"),
+            ("fit", "--time-limit", "nan"),
+            ("fit", "--gap-tol", "inf"),
+            ("fit", "--lambda-beta", "inf"),
+            ("fit", "--lambda-delta", "nan"),
+            ("synth", "--sigma-v", "nan"),
+        ],
+    )
+    def test_non_finite_numbers_and_negative_seeds_exit_2(
+        self, data_files, tmp_path, capsys, case, flag, value
+    ):
+        data, graph = data_files
+        argv = {
+            "fit": fit_argv(data, graph, tmp_path / "report.json"),
+            "gridsearch": gridsearch_argv(data, graph),
+            "synth": ["synth", "--n", "12", "--t", "3", "--d", "5", "--kl", "2",
+                      "--methods", "static"],
+        }[case]
+        assert main(argv + [flag, value]) == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{flag[2:]}={value}\n")
+        assert main(argv + ["--config", str(config)]) == 2
+        assert f"bad value '{value}' for config key '{flag[2:]}'" in capsys.readouterr().err
 
     def test_missing_data_file_exits_3(self, tmp_path, capsys):
         code = main([
@@ -258,3 +292,164 @@ class TestReports:
         assert report["solver"]["status"] == res.status == "optimal"
         assert report["support"] == res.incumbent_z.reshape(3, 5).astype(int).tolist()
         assert report["coefficients"] == res.incumbent_beta.reshape(3, 5).tolist()
+
+
+def report_config(argv, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--output", str(out)]) == 0
+    return json.loads(out.read_text())["config"]
+
+
+def gridsearch_argv(data, graph):
+    return ["gridsearch", "--data", data, "--graph", graph,
+            "--kl", "2", "--kg", "3", "--kc", "4"]
+
+
+class TestConfigFile:
+    def write(self, tmp_path, text):
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        return str(config)
+
+    def test_bool_words(self, data_files, tmp_path):
+        data, _ = data_files
+        config = self.write(tmp_path, f"data={data}\nchain=yes\nstandardize=off\n")
+        resolved = report_config(
+            ["gridsearch", "--config", config, "--kl", "2", "--kg", "3", "--kc", "4"],
+            tmp_path,
+        )
+        assert (resolved["chain"], resolved["standardize"]) == (True, False)
+        assert resolved["graph"] is None
+
+    def test_dashed_key(self, data_files, tmp_path):
+        config = self.write(tmp_path, "time-limit=20\nGAP_TOL=0.001\n")
+        resolved = report_config(
+            gridsearch_argv(*data_files) + ["--config", config], tmp_path
+        )
+        assert (resolved["time_limit"], resolved["gap_tol"]) == (20.0, 0.001)
+
+    @pytest.mark.parametrize(
+        "command,text,message",
+        [
+            ("gridsearch", "kl=x\n", "bad value 'x' for config key 'kl'"),
+            ("gridsearch", "chain=maybe\n", "bad value 'maybe' for config key 'chain'"),
+            ("fit", "holdout=0.5\n", "unknown config key 'holdout' for this command"),
+            ("fit", "config=other.cfg\n", "unknown config key 'config'"),
+            ("fit", "command=synth\n", "unknown config key 'command'"),
+            ("fit", "help=1\n", "unknown config key 'help'"),
+        ],
+    )
+    def test_refused_values_and_keys_exit_2(self, data_files, tmp_path, capsys,
+                                            command, text, message):
+        data, graph = data_files
+        argv = [command, "--data", data, "--graph", graph,
+                "--kl", "2", "--kg", "3", "--kc", "4",
+                "--config", self.write(tmp_path, text)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_flags_beat_config_even_at_their_defaults(self, data_files, tmp_path):
+        config = self.write(tmp_path, "standardize=no\nseed=9\ntime_limit=20\n")
+        resolved = report_config(
+            gridsearch_argv(*data_files) + [
+                "--config", config, "--standardize", "--seed", "0",
+                "--time-limit", "300",
+            ],
+            tmp_path,
+        )
+        assert resolved["standardize"] is True
+        assert (resolved["seed"], resolved["time_limit"]) == (0, 300.0)
+
+
+SYNTH_PARAMS = {
+    "params_n": 12, "params_t": 3, "params_d": 5, "params_k_l": 2,
+    "params_k_g": None, "params_k_c": 1, "params_sigma_v": 0.0,
+    "params_xi": 2.0, "params_rho_t": 0.0, "params_rho_d": 0.0,
+    "params_e": None, "params_mode": "temporal", "params_seed": 6,
+}
+SYNTH_ARGV = ["--n", "12", "--t", "3", "--d", "5", "--kl", "2", "--kc", "1",
+              "--seed", "6"]
+
+
+class TestProvenance:
+    """The report's `config` block, key for key."""
+
+    def test_fit_with_weights(self, data_files, tmp_path):
+        data, graph = data_files
+        out = tmp_path / "report.json"
+        assert report_config(fit_argv(data, graph, out)[:-2], tmp_path) == {
+            "command": "fit", "data": data, "graph": graph, "chain": False,
+            "kl": 2, "kg": 3, "kc": 4, "lambda_beta": 5.0, "lambda_delta": 2.5,
+            "grid": False, "standardize": False, "seed": 0, "time_limit": 300.0,
+            "gap_tol": 1e-6, "output": str(out), "omit_timings": True,
+        }
+
+    def test_fit_grid(self, data_files, tmp_path):
+        data, _ = data_files
+        out = tmp_path / "report.json"
+        argv = ["fit", "--data", data, "--chain", "--kl", "2", "--kg", "3",
+                "--kc", "4", "--seed", "2", "--time-limit", "20"]
+        assert report_config(argv, tmp_path) == {
+            "command": "fit", "data": data, "graph": None, "chain": True,
+            "kl": 2, "kg": 3, "kc": 4, "lambda_beta": None, "lambda_delta": None,
+            "grid": True, "standardize": False, "seed": 2, "time_limit": 20.0,
+            "gap_tol": 1e-6, "output": str(out), "omit_timings": False,
+        }
+
+    def test_synth(self, tmp_path):
+        out = tmp_path / "report.json"
+        argv = ["synth", *SYNTH_ARGV, "--methods", " static, stepwise",
+                "--gap-tol", "0.01"]
+        assert report_config(argv, tmp_path) == {
+            "command": "synth", **SYNTH_PARAMS, "methods": "static,stepwise",
+            "dump_data": None, "seed": 6, "time_limit": 300.0, "gap_tol": 0.01,
+            "output": str(out), "omit_timings": False,
+        }
+
+    def test_gridsearch_data_mode(self, data_files, tmp_path):
+        data, graph = data_files
+        out = tmp_path / "report.json"
+        argv = gridsearch_argv(data, graph) + ["--holdout", "0.4", "--standardize"]
+        assert report_config(argv, tmp_path) == {
+            "command": "gridsearch", "data": data, "graph": graph, "chain": False,
+            "kl": 2, "kg": 3, "kc": 4, "standardize": True, "holdout": 0.4,
+            "seed": 0, "time_limit": 300.0, "gap_tol": 1e-6, "output": str(out),
+            "omit_timings": False,
+        }
+
+    def test_gridsearch_synthetic_mode(self, tmp_path):
+        out = tmp_path / "report.json"
+        argv = ["gridsearch", *SYNTH_ARGV, "--omit-timings"]
+        assert report_config(argv, tmp_path) == {
+            "command": "gridsearch", **SYNTH_PARAMS, "holdout": 0.3, "seed": 6,
+            "time_limit": 300.0, "gap_tol": 1e-6, "output": str(out),
+            "omit_timings": True,
+        }
+
+
+class TestModuleEntry:
+    """`python -m slowreg.cli`, in a fresh interpreter."""
+
+    def run(self, *argv, cwd):
+        src = str(Path(slowreg.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        return subprocess.run(
+            [sys.executable, "-m", "slowreg.cli", *argv], cwd=cwd, env=env,
+            capture_output=True, text=True,
+        )
+
+    def test_version(self, tmp_path):
+        out = self.run("--version", cwd=tmp_path)
+        assert (out.returncode, out.stdout) == (0, "0.1.0\n")
+
+    def test_no_command_exits_2(self, tmp_path):
+        out = self.run(cwd=tmp_path)
+        assert out.returncode == 2
+        assert "a command is required" in out.stderr
+
+    def test_missing_data_file_exits_3(self, tmp_path):
+        out = self.run("fit", "--data", "absent.csv", "--chain", "--kl", "1",
+                       "--kg", "1", "--kc", "0", cwd=tmp_path)
+        assert out.returncode == 3
+        assert "data file not found: absent.csv" in out.stderr

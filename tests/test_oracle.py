@@ -20,8 +20,6 @@ from slowreg.oracle import (
     _chain_solve,
     _generic_solve,
     _selected,
-    relaxation_family_value,
-    verify_penrose,
 )
 
 from util import make_instance, random_graph, restricted_cost_reference
@@ -238,6 +236,18 @@ class TestConvexity:
             assert mid <= chord + 1e-10
 
 
+def verify_penrose(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> bool:
+    """Whether b satisfies all four Moore-Penrose conditions for a."""
+    ab, ba = a @ b, b @ a
+    checks = (
+        np.allclose(ab @ a, a, rtol=0.0, atol=tol),
+        np.allclose(ba @ b, b, rtol=0.0, atol=tol),
+        np.allclose(ab, ab.T, rtol=0.0, atol=tol),
+        np.allclose(ba, ba.T, rtol=0.0, atol=tol),
+    )
+    return all(checks)
+
+
 class TestPseudoinverse:
     def test_identity_and_zero(self):
         assert verify_penrose(np.eye(3), np.eye(3))
@@ -278,6 +288,20 @@ class TestPseudoinverse:
         lhs = np.linalg.inv(lam * np.eye(n) + z @ m @ z) @ z
         rhs = np.linalg.solve(lam * np.eye(n) + z @ m, z)
         assert np.allclose(lhs, rhs, rtol=0, atol=1e-9)
+
+
+def relaxation_family_value(a: float, m: float, mu: float, lam: float, z: float) -> float:
+    """One-dimensional relaxation family -mu^2 z^a / (lam + m z^a).
+
+    Members with a <= 1 are convex on [0, 1]; a = 1 is the member the support
+    relaxation actually uses.
+    """
+    if a <= 0.0:
+        raise ValueError("exponent a must be positive")
+    if z < 0.0:
+        raise ValueError("z must be nonnegative")
+    za = z ** a
+    return -(mu * mu) * za / (lam + m * za)
 
 
 class TestRelaxationFamily:

@@ -69,6 +69,16 @@ class TestInstance:
         with pytest.raises(ValueError):
             ProblemInstance(g, (x,), (y,), 1.0, -0.5)
 
+    @pytest.mark.parametrize(
+        "lambda_beta,lambda_delta",
+        [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan), (1.0, np.inf)],
+    )
+    def test_weights_must_be_finite(self, lambda_beta, lambda_delta):
+        g = SimilarityGraph(1)
+        x, y = np.ones((2, 1)), np.ones(2)
+        with pytest.raises(ValueError, match="finite"):
+            ProblemInstance(g, (x,), (y,), lambda_beta, lambda_delta)
+
 
     def test_with_weights_shares_data_and_validates(self):
         inst = make_instance(T=3, D=4, seed=8)
