@@ -61,6 +61,8 @@ class InputError(ValueError):
     """Missing or malformed input files; maps to exit code 3."""
 
 
+# flag types: argparse names them in its "invalid <type> value" message, and
+# config values pass through the same functions
 def finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):

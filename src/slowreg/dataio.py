@@ -4,8 +4,9 @@ The observation file is a CSV with header `vertex,y,x0,...,x{D-1}`, one row
 per observation, vertices numbered from 0. Per-vertex row counts may differ.
 Floats are written with `repr`, which round-trips exactly, so a dataset
 survives dump/load bit-for-bit. The reader streams the rows from the open
-file into one float array rather than through Python lists, so reading a
-file costs about one copy of its numbers in memory on top of the blocks.
+file into one float array rather than through Python lists, and the
+per-vertex blocks are views carved out of that array in place, so reading a
+file costs about one copy of its numbers in memory.
 The graph file holds one `s t` edge per line (0-based); the metadata
 sidecar holds `key=value` lines.
 """
@@ -45,10 +46,11 @@ def read_data_csv(path):
 
     Vertices must cover 0..T-1 with at least one row each; row order within
     a vertex follows file order. After the header, the body streams from the
-    open file into one float array (`np.loadtxt`), and a stable sort by
-    vertex id splits it into blocks. Any row that does not parse cleanly
-    sends the reader back over the file line by line to name the first bad
-    line.
+    open file into one float array (`np.loadtxt`); a stable sort by vertex
+    id, needed only when the file is not grouped by vertex, puts the rows in
+    block order, and the blocks are contiguous views of that array. Any row
+    that does not parse cleanly sends the reader back over the file line by
+    line to name the first bad line.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -91,13 +93,19 @@ def read_data_csv(path):
         more = f" and {extra} more" if extra else ""
         raise ValueError(f"{path}: vertices {missing.tolist()}{more} have no rows")
     ids = vertex.astype(np.int64)
-    counts = np.bincount(ids)
-    order = np.argsort(ids, kind="stable")
-    x_blocks, y_blocks = [], []
-    for rows in np.split(order, np.cumsum(counts)[:-1]):
-        y_blocks.append(body[rows, 1])
-        x_blocks.append(body[rows, 2:])
-    return x_blocks, y_blocks
+    if np.any(ids[1:] < ids[:-1]):
+        body = body[np.argsort(ids, kind="stable")]
+    y = body[:, 1].copy()
+    # the features move down inside body's own buffer, row i to [i*d, (i+1)*d),
+    # which lies below every row not yet moved; numpy buffers each overlapping
+    # chunk, so the blocks come out C-contiguous without a second full copy
+    n = body.shape[0]
+    x = body.reshape(-1)[: n * d].reshape(n, d)
+    step = max(1, (1 << 17) // d)
+    for start in range(0, n, step):
+        x[start:start + step] = body[start:start + step, 2:]
+    bounds = np.cumsum(np.bincount(ids))[:-1]
+    return np.split(x, bounds), np.split(y, bounds)
 
 
 def _raise_first_bad_row(path: Path, d: int, reason: str) -> NoReturn:

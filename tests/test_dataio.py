@@ -116,6 +116,25 @@ class TestDataCsv:
         assert all(x.flags.c_contiguous for x in xs)
         assert all(y.flags.c_contiguous for y in ys)
 
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_wide_rows_move_in_several_chunks(self, tmp_path, shuffled):
+        # D=700 moves 187 rows a chunk, so 400 rows take three chunks
+        rng = np.random.default_rng(31)
+        vertex = np.sort(rng.integers(0, 7, size=400))
+        vertex[:7] = np.arange(7)
+        rows = np.column_stack([vertex, rng.standard_normal((400, 701))])
+        if shuffled:
+            rows = rows[rng.permutation(400)]
+        path = tmp_path / "wide.csv"
+        header = ",".join(["vertex", "y"] + [f"x{j}" for j in range(700)])
+        np.savetxt(path, rows, delimiter=",", header=header, comments="", fmt="%.17g")
+        xs, ys = read_data_csv(path)
+        for v, (x, y) in enumerate(zip(xs, ys)):
+            mine = rows[rows[:, 0] == v]
+            np.testing.assert_array_equal(x, mine[:, 2:])
+            np.testing.assert_array_equal(y, mine[:, 1])
+            assert x.flags.c_contiguous and y.flags.c_contiguous
+
     def test_fractional_vertex_id_rejected(self, tmp_path):
         path = tmp_path / "frac.csv"
         path.write_text("vertex,y,x0\n0,1.0,2.0\n1.5,1.0,2.0\n")
