@@ -95,10 +95,11 @@ def read_data_csv(path):
     ids = vertex.astype(np.int64)
     if np.any(ids[1:] < ids[:-1]):
         body = body[np.argsort(ids, kind="stable")]
-    y = body[:, 1].copy()
+    y = body[:, 1].copy()  # before the move below overwrites the column
     # the features move down inside body's own buffer, row i to [i*d, (i+1)*d),
     # which lies below every row not yet moved; numpy buffers each overlapping
-    # chunk, so the blocks come out C-contiguous without a second full copy
+    # chunk of about 1 MiB, so the blocks come out C-contiguous without a
+    # second full copy
     n = body.shape[0]
     x = body.reshape(-1)[: n * d].reshape(n, d)
     step = max(1, (1 << 17) // d)
