@@ -280,7 +280,7 @@ def parse_config(argv=None) -> argparse.Namespace:
                              "lambda-delta nonnegative")
         ns.grid = not has_lb
     elif ns.command == "synth":
-        listed = ns.methods or ",".join(ALL_METHODS)
+        listed = ",".join(ALL_METHODS) if ns.methods is None else ns.methods
         methods = [m.strip() for m in listed.split(",") if m.strip()]
         if not methods or set(methods) - set(ALL_METHODS):
             raise UsageError(

@@ -200,24 +200,6 @@ def write_beta_csv(path, beta: np.ndarray, vertex_count: int) -> None:
             writer.writerow([str(v)] + [repr(float(val)) for val in beta[v]])
 
 
-def read_beta_csv(path) -> np.ndarray:
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        d = len(header) - 1
-        rows = {}
-        for row in reader:
-            if not row:
-                continue
-            rows[int(row[0])] = [float(c) for c in row[1:]]
-    t = max(rows) + 1
-    out = np.zeros((t, d))
-    for v in range(t):
-        out[v] = rows[v]
-    return out.ravel()
-
-
 def dump_dataset(prefix, dataset) -> dict:
     """Write train/test/beta/graph/meta files sharing one path prefix.
 

@@ -16,6 +16,10 @@ import numpy as np
 class SimilarityGraph:
     vertex_count: int
     edges: tuple[tuple[int, int], ...] = field(default_factory=tuple)
+    # sorted neighbours of each vertex, derived from `edges` once
+    _neighbors: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.vertex_count < 1:
@@ -35,6 +39,11 @@ class SimilarityGraph:
             norm.append((lo, hi))
         norm.sort()
         object.__setattr__(self, "edges", tuple(norm))
+        adjacency = [[] for _ in range(self.vertex_count)]
+        for s, t in norm:
+            adjacency[s].append(t)
+            adjacency[t].append(s)
+        object.__setattr__(self, "_neighbors", tuple(tuple(sorted(a)) for a in adjacency))
 
     @classmethod
     def chain(cls, vertex_count: int) -> "SimilarityGraph":
@@ -46,21 +55,11 @@ class SimilarityGraph:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.vertex_count, dtype=np.int64)
-        for s, t in self.edges:
-            deg[s] += 1
-            deg[t] += 1
-        return deg
+        return np.array([len(a) for a in self._neighbors], dtype=np.int64)
 
-    def neighbors(self, vertex: int) -> list[int]:
-        """Sorted neighbor list (index-ordered for reproducible sampling)."""
-        out = []
-        for s, t in self.edges:
-            if s == vertex:
-                out.append(t)
-            elif t == vertex:
-                out.append(s)
-        return sorted(out)
+    def neighbors(self, vertex: int) -> tuple[int, ...]:
+        """Sorted neighbours (index-ordered for reproducible sampling)."""
+        return self._neighbors[vertex]
 
     def is_chain(self) -> bool:
         """True iff the edge set is exactly {(t, t+1) : 0 <= t < T-1}."""

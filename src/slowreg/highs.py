@@ -1,7 +1,10 @@
 """Linear programs  min c'x  s.t.  A x <= b,  lower <= x <= upper  on HiGHS.
 
-An `LPModel` is one HiGHS model: the tree search keeps one per solve, adds
-cut rows and changes column bounds between node LPs. A start is the `state`
+The one input is an `LPModel`, one HiGHS model built from costs and column
+bounds, with rows appended in compressed form; nothing validates it, so a
+program the caller leaves unbounded ends in a raise. The tree search keeps
+one model per solve, adds cut rows and changes column bounds between node
+LPs, and runs each through `solve_boxed_lp`. A start is the `state`
 of an earlier result; rows added since enter basic. A start that the model
 still holds (a cut re-solve, or a child right after its parent) is not set
 again, so HiGHS keeps its factorization. A start with other columns or more
@@ -52,38 +55,6 @@ def core():
     return module
 
 
-class BoxedLinearProgram:
-    """A dense program, validated so that it is bounded."""
-
-    def __init__(self, c, a, b, lower, upper):
-        self.a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-        self.c, self.b, self.lower, self.upper = (
-            np.asarray(v, dtype=np.float64).ravel() for v in (c, b, lower, upper)
-        )
-        m, n = self.a.shape
-        if self.c.size != n or self.lower.size != n or self.upper.size != n:
-            raise ValueError("cost/bound lengths do not match column count")
-        if self.b.size != m:
-            raise ValueError("rhs length does not match row count")
-        if not np.all(np.isfinite(self.lower)):
-            raise ValueError("every variable needs a finite lower bound")
-        if np.any(self.upper < self.lower):
-            raise ValueError("upper < lower")
-        if np.any((self.c < 0.0) & ~np.isfinite(self.upper)):
-            raise ValueError(
-                "a column with a negative cost needs a finite upper bound, "
-                "or the program may be unbounded"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.a.shape[0]
-
-
 class LPResult:
     """One run: its point, row duals y (c - A'y are the reduced costs) and basis."""
 
@@ -113,14 +84,6 @@ class LPModel:
         self._held = None  # the basis of the last run, which HiGHS still holds
         empty = np.zeros(0, dtype=np.int32)
         self._check(highs.addCols(self.n, c, lower, upper, 0, empty, empty, np.zeros(0)))
-
-    @classmethod
-    def from_program(cls, lp: BoxedLinearProgram) -> LPModel:
-        model = cls(lp.c, lp.lower, lp.upper)
-        rows, cols = np.nonzero(lp.a)
-        starts = np.searchsorted(rows, np.arange(lp.m)).astype(np.int32)
-        model.add_rows(starts, cols.astype(np.int32), lp.a[rows, cols], lp.b)
-        return model
 
     def _check(self, status) -> None:
         if status == self._core.HighsStatus.kError:
@@ -184,7 +147,6 @@ class LPModel:
         raise RuntimeError(f"HiGHS ended an LP with status {highs.modelStatusToString(status)!r}")
 
 
-def solve_boxed_lp(program: BoxedLinearProgram | LPModel, start=None) -> LPResult:
-    """Solve `program` once from `start`; a BoxedLinearProgram gets a fresh model."""
-    model = program if isinstance(program, LPModel) else LPModel.from_program(program)
+def solve_boxed_lp(model: LPModel, start=None) -> LPResult:
+    """Solve `model` once from `start`; the master reaches HiGHS only through here."""
     return model.solve(start)

@@ -232,7 +232,7 @@ def solve_support_selection(
         if not check_feasible(zb, budget, qf.graph):
             raise BudgetError("warm start violates the sparsity budgets")
         ev = evaluate(qf, zb)
-        mp.add_cut(zb, ev.cost, eval_gradient(qf, zb, ev.cache))
+        mp.add_cut(zb, ev.cost, eval_gradient(qf, zb, ev))
         incumbent = zb
         upper = ev.cost
 
@@ -282,7 +282,7 @@ def solve_support_selection(
                     ev = evaluate(qf, zb)
                     cost = ev.cost
                     if cost > eta + cut_tol:
-                        grad = eval_gradient(qf, zb, ev.cache)
+                        grad = eval_gradient(qf, zb, ev)
                         mp.add_cut(zb, cost, grad)
                         start = res.state
                         continue

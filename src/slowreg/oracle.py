@@ -9,7 +9,9 @@ which is the minimum over coefficients supported on z of the canonical
 half-scaled objective; the original penalized objective of the best such
 coefficient vector is const_term + 2 * cost(z). cost is the restriction to
 binary points of a convex function on the unit box, which is what makes
-outer-approximation cuts globally valid.
+outer-approximation cuts globally valid. The oracle evaluates binary points
+only; `evaluate` returns the cost together with v0 below, and
+`eval_gradient` takes that evaluation rather than solving again.
 
 The gradient of that convex extension at a binary z comes from one linear
 solve plus one structured matvec:
@@ -41,18 +43,12 @@ from .problem import QuadForm
 
 
 @dataclass(frozen=True)
-class OracleCache:
-    """Opaque solve byproducts keyed by the support pattern they came from."""
-
-    key: bytes
-    v0: np.ndarray  # (T*D,), zero off support
-    cost: float
-
-
-@dataclass(frozen=True)
 class OracleEvaluation:
+    """The cost at one support pattern and the solve that `eval_gradient` reuses."""
+
     cost: float
-    cache: OracleCache
+    v0: np.ndarray  # (T*D,), zero off support
+    key: bytes      # the support pattern, checked by eval_gradient
 
 
 def _as_support(z: np.ndarray, n: int) -> np.ndarray:
@@ -126,23 +122,23 @@ def evaluate(qf: QuadForm, z: np.ndarray) -> OracleEvaluation:
     zb = _as_support(z, qf.vertex_count * qf.feature_count)
     v0 = _solve_restricted(qf, zb)
     cost = -0.5 * float(qf.mu @ v0)
-    return OracleEvaluation(cost=cost, cache=OracleCache(key=zb.tobytes(), v0=v0, cost=cost))
+    return OracleEvaluation(cost=cost, v0=v0, key=zb.tobytes())
 
 
 def eval_cost(qf: QuadForm, z: np.ndarray) -> float:
     return evaluate(qf, z).cost
 
 
-def eval_gradient(qf: QuadForm, z: np.ndarray, cache: OracleCache) -> np.ndarray:
+def eval_gradient(qf: QuadForm, z: np.ndarray, ev: OracleEvaluation) -> np.ndarray:
     """Gradient of the convex extension at binary z, reusing the cost solve.
 
-    The cache must come from evaluate/eval_cost at the same z; anything else
-    is a contract violation and raises.
+    `ev` must come from `evaluate` at the same z; anything else is a
+    contract violation and raises.
     """
     zb = _as_support(z, qf.vertex_count * qf.feature_count)
-    if cache.key != zb.tobytes():
-        raise ValueError("oracle cache was computed at a different support pattern")
-    v0 = cache.v0
+    if ev.key != zb.tobytes():
+        raise ValueError("oracle evaluation was computed at a different support pattern")
+    v0 = ev.v0
     v2 = qf.matvec(v0)
     v1 = np.where(zb, v0, (qf.mu - v2) / qf.lambda_beta)
     return 0.5 * v1 * (v2 - qf.mu)
@@ -152,35 +148,3 @@ def beta_star(qf: QuadForm, z: np.ndarray) -> np.ndarray:
     """Optimal coefficients restricted to the support: exact zeros off it."""
     zb = _as_support(z, qf.vertex_count * qf.feature_count)
     return _solve_restricted(qf, zb)
-
-
-def eval_cost_fractional(qf: QuadForm, z: np.ndarray) -> float:
-    """Convex extension of the cost to fractional z in the unit box.
-
-    Evaluated as -1/2 mu' (lambda_beta I + Z M)^{-1} Z mu with Z = diag(z),
-    which coincides with eval_cost at binary points (the matrix is invertible
-    on the whole box since Z M has nonnegative real spectrum there). A small
-    overshoot outside [0, 1] is tolerated so central finite differences can
-    straddle binary points. Materializes the full coupled matrix, so this is
-    a small-instance diagnostic used by convexity and derivative checks, not
-    a solver path.
-    """
-    n = qf.vertex_count * qf.feature_count
-    zf = np.asarray(z, dtype=np.float64).ravel()
-    if zf.size != n:
-        raise ValueError(f"support vector has length {zf.size}, expected {n}")
-    slack = 1e-2
-    if np.any(zf < -slack) or np.any(zf > 1.0 + slack):
-        raise ValueError("fractional support entries must lie in [0, 1]")
-    m = dense_coupled_matrix(qf)
-    a = zf[:, None] * m
-    a.flat[::n + 1] += qf.lambda_beta
-    x = np.linalg.solve(a, zf * qf.mu)
-    return -0.5 * float(qf.mu @ x)
-
-
-def dense_coupled_matrix(qf: QuadForm) -> np.ndarray:
-    """The full coupled matrix M as a dense array. Diagnostic, small sizes only."""
-    n = qf.vertex_count * qf.feature_count
-    return np.column_stack([qf.matvec(e) for e in np.eye(n)])
-

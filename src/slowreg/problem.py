@@ -10,7 +10,9 @@ beta (one length-D vector per vertex) is
 
 subject to support budgets: at most K_L active features per vertex, at most
 K_G distinct features overall, and at most K_C support differences summed
-over the graph edges.
+over the graph edges. `true_objective` evaluates this objective term by
+term; the solvers work from its quadratic expansion, a `QuadForm`, and
+`check_feasible` tests a support pattern against the budgets.
 
 Coefficients are stored flat with vertex-major layout: entry (t, d) lives at
 index t * D + d. There is no intercept column; center or standardize the data
@@ -167,16 +169,6 @@ class QuadForm:
             out[t] -= self.lambda_delta * vg[s]
         return out.ravel()
 
-    def objective_at(self, beta: np.ndarray) -> float:
-        """const_term + beta'(M + lambda_beta I)beta - 2 mu'beta via matvec."""
-        b = np.asarray(beta, dtype=np.float64).ravel()
-        return float(
-            self.const_term
-            + b @ self.matvec(b)
-            + self.lambda_beta * (b @ b)
-            - 2.0 * (self.mu @ b)
-        )
-
 
 def build_quadform(instance: ProblemInstance) -> QuadForm:
     """The quadratic form of an instance: mu and const_term, O(sum_t n_t * D)."""
@@ -212,14 +204,6 @@ def true_objective(instance: ProblemInstance, beta: np.ndarray) -> float:
     return total
 
 
-def support_of(beta: np.ndarray, vertex_count: int, feature_count: int) -> np.ndarray:
-    """Exact-nonzero support pattern of a flat coefficient vector, shape (T*D,) bool."""
-    b = np.asarray(beta).ravel()
-    if b.size != vertex_count * feature_count:
-        raise ValueError("coefficient vector has wrong length")
-    return b != 0.0
-
-
 def check_feasible(
     z: np.ndarray, budget: SparsityBudget, graph: SimilarityGraph
 ) -> bool:
@@ -233,10 +217,7 @@ def check_feasible(
         return False
     if int(zg.any(axis=0).sum()) > budget.max_global:
         return False
-    changes = 0
-    for s, t in graph.edges:
-        changes += int(np.logical_xor(zg[s], zg[t]).sum())
-    return changes <= budget.max_changes
+    return support_change_count(zg, graph) <= budget.max_changes
 
 
 def support_change_count(z: np.ndarray, graph: SimilarityGraph) -> int:

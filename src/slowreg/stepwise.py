@@ -37,7 +37,6 @@ def sparse_ridge_greedy(
     y: np.ndarray,
     k: int,
     lam: float,
-    allowed: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Forward selection of up to k features for one ridge regression.
 
@@ -49,19 +48,13 @@ def sparse_ridge_greedy(
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     d = x.shape[1]
-    if allowed is None:
-        allowed = np.arange(d)
-    else:
-        allowed = np.asarray(allowed, dtype=np.int64)
-    mask = np.zeros(d, dtype=bool)
-    mask[allowed] = True
     col_norm2 = np.einsum("ij,ij->j", x, x)
     safe = np.where(col_norm2 > 0.0, col_norm2, 1.0)
-    excluded = ~mask | (col_norm2 == 0.0)
+    excluded = col_norm2 == 0.0
     selected: list[int] = []
     beta = np.zeros(d)
     residual = y.copy()
-    for _ in range(min(int(k), allowed.size)):
+    for _ in range(min(int(k), d)):
         scores = x.T @ residual
         np.square(scores, out=scores)
         scores /= safe
@@ -160,12 +153,6 @@ def stepwise_fit(
     zg = coeffs != 0.0
     edges = np.array(instance.graph.edges, dtype=np.int64).reshape(-1, 2)
     src, dst = edges[:, 0], edges[:, 1]
-    neighbors: list[list[int]] = [[] for _ in range(t_count)]
-    for s, t in instance.graph.edges:
-        neighbors[s].append(t)
-        neighbors[t].append(s)
-    for nbrs in neighbors:
-        nbrs.sort()
 
     initial_union = int(zg.any(axis=0).sum())
     removal_iterations = 0
@@ -179,7 +166,7 @@ def stepwise_fit(
         for t in np.flatnonzero(zg[:, j_star]).tolist():
             row = zg[t].copy()
             row[j_star] = False
-            nbrs = neighbors[t]
+            nbrs = instance.graph.neighbors(t)
             if nbrs:
                 s = nbrs[int(rng.integers(len(nbrs)))]
                 # zg[t] holds j_star, so it is never a candidate
@@ -197,7 +184,7 @@ def stepwise_fit(
     ev = oracle.evaluate(qf, z)
     return StepwiseResult(
         z=z,
-        beta=ev.cache.v0,
+        beta=ev.v0,
         cost=ev.cost,
         removal_iterations=removal_iterations,
         initial_union_size=initial_union,

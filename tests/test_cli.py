@@ -109,19 +109,24 @@ class TestExitCodes:
             ("graph_and_chain", "give --graph or --chain, not both"),
             ("unknown_config_key", "unknown config key 'bogus'"),
             ("selftest", "invalid choice: 'selftest'"),
+            ("empty_methods", "--methods must name some of"),
+            ("empty_methods_config", "--methods must name some of"),
         ],
     )
     def test_usage_errors_exit_2(self, data_files, tmp_path, capsys, case, message):
         data, graph = data_files
         base = ["gridsearch", "--data", data, "--graph", graph]
         budgets = ["--kl", "2", "--kg", "3", "--kc", "4"]
+        synth = ["synth", "--n", "12", "--t", "3", "--d", "5", "--kl", "2"]
         config = tmp_path / "run.cfg"
-        config.write_text("bogus=1\n")
+        config.write_text("methods=\n" if case == "empty_methods_config" else "bogus=1\n")
         argv = {
             "missing_kl": base + ["--kg", "3", "--kc", "4"],
             "graph_and_chain": base + budgets + ["--chain"],
             "unknown_config_key": base + budgets + ["--config", str(config)],
             "selftest": ["selftest"],
+            "empty_methods": synth + ["--methods", ""],
+            "empty_methods_config": synth + ["--config", str(config)],
         }[case]
         assert main(argv) == 2
         assert message in capsys.readouterr().err

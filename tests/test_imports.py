@@ -1,4 +1,4 @@
-"""What slowreg loads of scipy, and the HiGHS binding it relies on.
+"""What slowreg exports and loads of scipy, and the HiGHS binding it relies on.
 
 `scipy.linalg` alone adds about 27 MiB to a process and `scipy.optimize`
 more, so the package sticks to numpy at run time. The exact solver's node
@@ -45,8 +45,15 @@ def loaded_after(lines: list[str]) -> list[str]:
     return run_python(code).split()
 
 
+def test_every_export_resolves_and_is_listed_once():
+    names = slowreg.__all__
+    assert sorted(set(names)) == sorted(names)
+    assert [name for name in names if not hasattr(slowreg, name)] == []
+
+
 def test_import_loads_no_scipy_linalg_or_optimize():
-    lines = ["import slowreg"] + [f"import slowreg.{name}" for name in SUBMODULES]
+    # the star import also fails here when __all__ names a deleted function
+    lines = ["from slowreg import *"] + [f"import slowreg.{name}" for name in SUBMODULES]
     assert loaded_after(lines) == []
 
 

@@ -19,6 +19,7 @@ from slowreg import (
     check_feasible,
     eval_cost,
     stepwise_fit,
+    true_objective,
 )
 from slowreg import master
 from slowreg.benchmark import SynthParams, make_synthetic_dataset, solver_budget
@@ -103,7 +104,7 @@ class TestMasterProgram:
         from slowreg import evaluate, eval_gradient
 
         ev = evaluate(qf, anchor)
-        grad = eval_gradient(qf, anchor, ev.cache)
+        grad = eval_gradient(qf, anchor, ev)
         mp.add_cut(anchor, ev.cost, grad)
         fix1 = anchor.copy()
         fix0 = ~anchor
@@ -225,7 +226,7 @@ class TestSolverExactness:
         instance, qf, budget = small_setup(11, 2, 3, 2)
         res = solve_support_selection(qf, budget, limits=TIGHT)
         assert res.status == "optimal"
-        direct = qf.objective_at(res.incumbent_beta)
+        direct = true_objective(instance, res.incumbent_beta)
         assert res.objective_value == pytest.approx(direct, rel=1e-8)
 
     def test_zero_moments(self):

@@ -11,7 +11,6 @@ from slowreg import (
     beta_star,
     build_quadform,
     eval_cost,
-    eval_cost_fractional,
     eval_gradient,
     evaluate,
     true_objective,
@@ -157,14 +156,14 @@ class TestGradient:
         # c'(1) = -mu^2 lam / (2 (lam + m)^2) = -1/800 at m=19, mu=lam=1.
         qf = scalar_quadform()
         ev = evaluate(qf, np.array([1]))
-        g = eval_gradient(qf, np.array([1]), ev.cache)
+        g = eval_gradient(qf, np.array([1]), ev)
         assert g[0] == pytest.approx(-1.0 / 800.0, abs=1e-15)
 
     def test_zero_support_closed_form(self):
         qf = build_quadform(make_instance(T=3, D=4, N=5, seed=14, lambda_delta=0.9))
         z = np.zeros(12)
         ev = evaluate(qf, z)
-        g = eval_gradient(qf, z, ev.cache)
+        g = eval_gradient(qf, z, ev)
         want = -qf.mu**2 / (2.0 * qf.lambda_beta)
         assert np.allclose(g, want, rtol=1e-12, atol=1e-15)
 
@@ -172,7 +171,7 @@ class TestGradient:
         qf = build_quadform(make_instance(T=2, D=2, N=3, seed=15))
         ev = evaluate(qf, np.array([1, 0, 0, 0]))
         with pytest.raises(ValueError):
-            eval_gradient(qf, np.array([0, 1, 0, 0]), ev.cache)
+            eval_gradient(qf, np.array([0, 1, 0, 0]), ev)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_central_finite_differences(self, seed):
@@ -184,13 +183,14 @@ class TestGradient:
         qf = build_quadform(inst)
         z = rng.integers(0, 2, size=T * D).astype(float)
         ev = evaluate(qf, z)
-        g = eval_gradient(qf, z, ev.cache)
+        g = eval_gradient(qf, z, ev)
         eps = 1e-6
         for i in range(T * D):
             zp, zm = z.copy(), z.copy()
             zp[i] += eps
             zm[i] -= eps
-            fd = (eval_cost_fractional(qf, zp) - eval_cost_fractional(qf, zm)) / (2 * eps)
+            fd = (restricted_cost_reference(inst, zp)
+                  - restricted_cost_reference(inst, zm)) / (2 * eps)
             assert abs(g[i] - fd) <= 1e-5
 
     def test_off_support_entries_nonpositive(self):
@@ -199,7 +199,7 @@ class TestGradient:
         for _ in range(20):
             z = rng.integers(0, 2, size=9).astype(bool)
             ev = evaluate(qf, z)
-            g = eval_gradient(qf, z, ev.cache)
+            g = eval_gradient(qf, z, ev)
             assert np.all(g[~z] <= 1e-15)
 
     def test_zero_moments_give_zero_gradient(self):
@@ -209,16 +209,17 @@ class TestGradient:
         z = np.array([1, 0, 1])
         ev = evaluate(qf, z)
         assert ev.cost == 0.0
-        assert np.all(eval_gradient(qf, z, ev.cache) == 0.0)
+        assert np.all(eval_gradient(qf, z, ev) == 0.0)
 
 
 class TestConvexity:
     def test_fractional_matches_binary_at_corners(self):
-        qf = build_quadform(make_instance(T=2, D=3, N=4, seed=20, lambda_delta=0.4))
+        inst = make_instance(T=2, D=3, N=4, seed=20, lambda_delta=0.4)
+        qf = build_quadform(inst)
         rng = np.random.default_rng(20)
         for _ in range(20):
             z = rng.integers(0, 2, size=6)
-            assert eval_cost_fractional(qf, z.astype(float)) == pytest.approx(
+            assert restricted_cost_reference(inst, z.astype(float)) == pytest.approx(
                 eval_cost(qf, z), rel=1e-11, abs=1e-13
             )
 
@@ -231,8 +232,9 @@ class TestConvexity:
         for _ in range(200):
             a = rng.random(6)
             b = rng.random(6)
-            mid = eval_cost_fractional(qf, (a + b) / 2.0)
-            chord = 0.5 * (eval_cost_fractional(qf, a) + eval_cost_fractional(qf, b))
+            mid = restricted_cost_reference(inst, (a + b) / 2.0)
+            chord = 0.5 * (restricted_cost_reference(inst, a)
+                           + restricted_cost_reference(inst, b))
             assert mid <= chord + 1e-10
 
 

@@ -16,7 +16,7 @@ import pytest
 from scipy.optimize import linprog
 
 import slowreg
-from slowreg.highs import BoxedLinearProgram, LPModel, core, solve_boxed_lp
+from slowreg.highs import LPModel, core, solve_boxed_lp
 
 STATUS_FROM_SCIPY = {0: "optimal", 2: "infeasible"}
 KKT_TOL = 1e-7
@@ -27,6 +27,26 @@ def reference_solve(lp):
         (lo, None if np.isinf(hi) else hi) for lo, hi in zip(lp.lower, lp.upper)
     ]
     return linprog(lp.c, A_ub=lp.a, b_ub=lp.b, bounds=bounds, method="highs")
+
+
+class DenseLP:
+    """min c'x  s.t.  a x <= b,  lower <= x <= upper  as dense arrays."""
+
+    def __init__(self, c, a, b, lower, upper):
+        self.a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+        self.c, self.b, self.lower, self.upper = (
+            np.asarray(v, dtype=np.float64).ravel() for v in (c, b, lower, upper)
+        )
+        self.m, self.n = self.a.shape
+
+
+def model_of(lp):
+    """A fresh HiGHS model of `lp`, its rows passed in compressed form."""
+    model = LPModel(lp.c, lp.lower, lp.upper)
+    rows, cols = np.nonzero(lp.a)
+    starts = np.searchsorted(rows, np.arange(lp.m)).astype(np.int32)
+    model.add_rows(starts, cols.astype(np.int32), lp.a[rows, cols], lp.b)
+    return model
 
 
 def assert_feasible(lp, x, tol=1e-7):
@@ -81,14 +101,14 @@ def random_lp(rng, force_feasible):
     c = rng.normal(size=n)
     # a column without an upper bound must not pay to grow
     c[np.isinf(upper)] = np.abs(c[np.isinf(upper)])
-    return BoxedLinearProgram(c=c, a=a, b=b, lower=lower, upper=upper)
+    return DenseLP(c=c, a=a, b=b, lower=lower, upper=upper)
 
 
 class TestAgainstReference:
     @pytest.mark.parametrize("seed", range(40))
     def test_random_feasible(self, seed):
         lp = random_lp(np.random.default_rng(seed), force_feasible=True)
-        res = solve_boxed_lp(lp)
+        res = solve_boxed_lp(model_of(lp))
         ref = reference_solve(lp)
         assert res.status == STATUS_FROM_SCIPY[ref.status]
         if res.status == "optimal":
@@ -99,7 +119,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("seed", range(40, 80))
     def test_random_mixed_status(self, seed):
         lp = random_lp(np.random.default_rng(seed), force_feasible=False)
-        res = solve_boxed_lp(lp)
+        res = solve_boxed_lp(model_of(lp))
         ref = reference_solve(lp)
         assert res.status == STATUS_FROM_SCIPY[ref.status]
         if res.status == "optimal":
@@ -115,8 +135,8 @@ class TestAgainstReference:
         x0 = rng.uniform(0.0, 1.0, size=n)
         b = a @ x0 + rng.uniform(0.0, 1.0, size=m)
         c = rng.normal(size=n)
-        lp = BoxedLinearProgram(c=c, a=a, b=b, lower=lower, upper=upper)
-        res = solve_boxed_lp(lp)
+        lp = DenseLP(c=c, a=a, b=b, lower=lower, upper=upper)
+        res = solve_boxed_lp(model_of(lp))
         ref = reference_solve(lp)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(ref.fun, abs=1e-6)
@@ -125,27 +145,27 @@ class TestAgainstReference:
 
 class TestHandCases:
     def test_simple_vertex(self):
-        lp = BoxedLinearProgram(
+        lp = DenseLP(
             c=[-1.0, -1.0],
             a=[[1.0, 1.0]],
             b=[1.0],
             lower=[0.0, 0.0],
             upper=[1.0, 1.0],
         )
-        res = solve_boxed_lp(lp)
+        res = solve_boxed_lp(model_of(lp))
         assert res.status == "optimal"
         assert res.objective == pytest.approx(-1.0, abs=1e-12)
 
     def test_dual_cold_start_repairs_violated_row(self):
         # second row is violated at the slack basis, which the solve repairs
-        lp = BoxedLinearProgram(
+        lp = DenseLP(
             c=[1.0, 2.0],
             a=[[1.0, 1.0], [-1.0, -1.0]],
             b=[1.0, -1.0],
             lower=[0.0, 0.0],
             upper=[5.0, 5.0],
         )
-        res = solve_boxed_lp(lp)
+        res = solve_boxed_lp(model_of(lp))
         assert res.status == "optimal"
         # x must sit on the segment x0 + x1 = 1; cheapest is (1, 0)
         assert res.objective == pytest.approx(1.0, abs=1e-9)
@@ -154,44 +174,33 @@ class TestHandCases:
         # both columns are free of cost, so every feasible point is optimal;
         # the one returned may sit on the 1e-6 entry (x0 = 5e5) but must meet
         # the row and the box
-        lp = BoxedLinearProgram(
+        lp = DenseLP(
             c=[0.0, 0.0],
             a=[[-1e-6, -1.0]],
             b=[-0.5],
             lower=[0.0, 0.0],
             upper=[1e6, 1e6],
         )
-        res = solve_boxed_lp(lp)
+        res = solve_boxed_lp(model_of(lp))
         assert res.status == "optimal"
         assert res.objective == 0.0
         assert_kkt(lp, res)
 
     def test_infeasible_rows(self):
-        lp = BoxedLinearProgram(
+        lp = DenseLP(
             c=[0.0],
             a=[[1.0], [-1.0]],
             b=[1.0, -3.0],
             lower=[0.0],
             upper=[2.0],
         )
-        res = solve_boxed_lp(lp)
+        res = solve_boxed_lp(model_of(lp))
         assert res.status == "infeasible"
         assert res.x is None
 
-    def test_unbounded(self):
-        # a negative cost on a column without an upper bound is refused
-        with pytest.raises(ValueError, match="finite upper bound"):
-            BoxedLinearProgram(
-                c=[-1.0],
-                a=[[0.0]],
-                b=[1.0],
-                lower=[0.0],
-                upper=[np.inf],
-            )
-
     @pytest.mark.parametrize("seed", range(20))
     def test_slack_start_is_dual_feasible(self, seed):
-        # the validation guarantees a dual feasible start: every slack basic
+        # random_lp guarantees a dual feasible start: every slack basic
         # (y = 0, so the reduced costs are c) and each column at the bound its
         # cost prefers, which is finite; the solve accepts it as a start
         lp = random_lp(np.random.default_rng(seed), force_feasible=False)
@@ -203,7 +212,7 @@ class TestHandCases:
             [status.kUpper if up else status.kLower for up in at_upper],
             [status.kBasic] * lp.m,
         ))
-        res = solve_boxed_lp(lp, start=start)
+        res = solve_boxed_lp(model_of(lp), start=start)
         ref = reference_solve(lp)
         assert res.warm
         assert res.status == STATUS_FROM_SCIPY[ref.status]
@@ -213,47 +222,47 @@ class TestHandCases:
 
     def test_bound_flip_only(self):
         # no row ever binds; optimum is a pure bound flip to the upper bound
-        lp = BoxedLinearProgram(
+        lp = DenseLP(
             c=[-1.0, 1.0],
             a=[[1.0, 1.0]],
             b=[100.0],
             lower=[0.0, 0.0],
             upper=[3.0, 3.0],
         )
-        res = solve_boxed_lp(lp)
+        res = solve_boxed_lp(model_of(lp))
         assert res.status == "optimal"
         assert res.objective == pytest.approx(-3.0, abs=1e-12)
         assert res.x == pytest.approx([3.0, 0.0], abs=1e-12)
 
     def test_fixed_variables(self):
-        lp = BoxedLinearProgram(
+        lp = DenseLP(
             c=[-1.0, -1.0, -1.0],
             a=[[1.0, 1.0, 1.0]],
             b=[2.0],
             lower=[0.5, 0.0, 0.0],
             upper=[0.5, 1.0, 1.0],
         )
-        res = solve_boxed_lp(lp)
+        res = solve_boxed_lp(model_of(lp))
         ref = reference_solve(lp)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(ref.fun, abs=1e-9)
         assert res.x[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_degenerate_duplicated_rows(self):
-        lp = BoxedLinearProgram(
+        lp = DenseLP(
             c=[-1.0, -1.0],
             a=[[1.0, 1.0]] * 4 + [[1.0, 0.0], [0.0, 1.0]],
             b=[1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
             lower=[0.0, 0.0],
             upper=[2.0, 2.0],
         )
-        res = solve_boxed_lp(lp)
+        res = solve_boxed_lp(model_of(lp))
         assert res.status == "optimal"
         assert res.objective == pytest.approx(-1.0, abs=1e-9)
 
     def test_classic_degenerate_cycling_data(self):
         # data known to cycle under naive most-negative pricing
-        lp = BoxedLinearProgram(
+        lp = DenseLP(
             c=[-0.75, 150.0, -0.02, 6.0],
             a=[
                 [0.25, -60.0, -0.04, 9.0],
@@ -264,20 +273,20 @@ class TestHandCases:
             lower=[0.0, 0.0, 0.0, 0.0],
             upper=[10.0, np.inf, 10.0, np.inf],
         )
-        res = solve_boxed_lp(lp)
+        res = solve_boxed_lp(model_of(lp))
         ref = reference_solve(lp)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(ref.fun, abs=1e-9)
 
     def test_negative_lower_bounds(self):
-        lp = BoxedLinearProgram(
+        lp = DenseLP(
             c=[1.0, 1.0],
             a=[[1.0, 0.0]],
             b=[3.0],
             lower=[-5.0, -2.0],
             upper=[5.0, 2.0],
         )
-        res = solve_boxed_lp(lp)
+        res = solve_boxed_lp(model_of(lp))
         assert res.status == "optimal"
         assert res.objective == pytest.approx(-7.0, abs=1e-12)
 
@@ -287,16 +296,16 @@ class TestWarmStarts:
     def test_restart_after_cost_change(self, seed):
         rng = np.random.default_rng(100 + seed)
         lp = random_lp(rng, force_feasible=True)
-        first = solve_boxed_lp(lp)
-        lp2 = BoxedLinearProgram(
+        first = solve_boxed_lp(model_of(lp))
+        lp2 = DenseLP(
             c=lp.c + 0.1 * rng.normal(size=lp.n),
             a=lp.a,
             b=lp.b,
             lower=lp.lower,
             upper=lp.upper,
         )
-        warm = solve_boxed_lp(lp2, start=first.state)
-        cold = solve_boxed_lp(lp2)
+        warm = solve_boxed_lp(model_of(lp2), start=first.state)
+        cold = solve_boxed_lp(model_of(lp2))
         ref = reference_solve(lp2)
         assert warm.status == cold.status == STATUS_FROM_SCIPY[ref.status]
         if warm.status == "optimal":
@@ -306,10 +315,10 @@ class TestWarmStarts:
     def test_appended_violated_row(self, seed):
         rng = np.random.default_rng(200 + seed)
         lp = random_lp(rng, force_feasible=True)
-        first = solve_boxed_lp(lp)
+        first = solve_boxed_lp(model_of(lp))
         row = rng.normal(size=lp.n)
         rhs = float(row @ first.x) - 1.0  # cuts off the old optimum
-        lp2 = BoxedLinearProgram(
+        lp2 = DenseLP(
             c=lp.c,
             a=np.vstack([lp.a, row]),
             b=np.append(lp.b, rhs),
@@ -318,8 +327,8 @@ class TestWarmStarts:
         )
         # the shorter state is extended by the new row, which enters with its
         # violated slack basic
-        warm = solve_boxed_lp(lp2, start=first.state)
-        cold = solve_boxed_lp(lp2)
+        warm = solve_boxed_lp(model_of(lp2), start=first.state)
+        cold = solve_boxed_lp(model_of(lp2))
         assert warm.warm
         ref = reference_solve(lp2)
         assert warm.status == cold.status == STATUS_FROM_SCIPY[ref.status]
@@ -330,18 +339,18 @@ class TestWarmStarts:
     def test_appended_satisfied_row(self):
         rng = np.random.default_rng(301)
         lp = random_lp(rng, force_feasible=True)
-        first = solve_boxed_lp(lp)
+        first = solve_boxed_lp(model_of(lp))
         assert first.status == "optimal"
         row = rng.normal(size=lp.n)
         rhs = float(row @ first.x) + 1.0  # loose at the old optimum
-        lp2 = BoxedLinearProgram(
+        lp2 = DenseLP(
             c=lp.c,
             a=np.vstack([lp.a, row]),
             b=np.append(lp.b, rhs),
             lower=lp.lower,
             upper=lp.upper,
         )
-        warm = solve_boxed_lp(lp2, start=first.state)
+        warm = solve_boxed_lp(model_of(lp2), start=first.state)
         assert warm.warm
         assert warm.status == "optimal"
         assert warm.objective == pytest.approx(first.objective, abs=1e-8)
@@ -349,21 +358,21 @@ class TestWarmStarts:
         assert warm.iterations == 0
 
     def test_out_of_box_basis_is_repaired_warm(self):
-        lp = BoxedLinearProgram(
+        lp = DenseLP(
             c=[-1.0, -1.0],
             a=[[1.0, 1.0]],
             b=[1.0],
             lower=[0.0, 0.0],
             upper=[1.0, 1.0],
         )
-        res = solve_boxed_lp(lp)
+        res = solve_boxed_lp(model_of(lp))
         assert res.status == "optimal"
         # shrink the box so the stored basis is no longer within bounds; its
         # reduced costs are unchanged, so the dual simplex takes it from there
-        lp2 = BoxedLinearProgram(
+        lp2 = DenseLP(
             c=lp.c, a=lp.a, b=lp.b, lower=[0.0, 0.0], upper=[0.25, 0.25]
         )
-        warm = solve_boxed_lp(lp2, start=res.state)
+        warm = solve_boxed_lp(model_of(lp2), start=res.state)
         assert warm.warm
         assert warm.status == "optimal"
         assert warm.objective == pytest.approx(-0.5, abs=1e-12)
@@ -376,13 +385,13 @@ def branched(lp, x, j, side):
         upper[j] = max(np.floor(x[j]), lower[j])
     else:
         lower[j] = min(np.ceil(x[j]), upper[j])
-    return BoxedLinearProgram(c=lp.c, a=lp.a, b=lp.b, lower=lower, upper=upper)
+    return DenseLP(c=lp.c, a=lp.a, b=lp.b, lower=lower, upper=upper)
 
 
 def branch_children(seed):
     """(parent result, child program) for every basic fractional variable of a draw."""
     lp = random_lp(np.random.default_rng(seed), force_feasible=True)
-    first = solve_boxed_lp(lp)
+    first = solve_boxed_lp(model_of(lp))
     if first.status != "optimal":
         return []
     frac = [
@@ -396,8 +405,8 @@ class TestDualWarmStart:
     @pytest.mark.parametrize("seed", range(400, 430))
     def test_branched_child_matches_reference(self, seed):
         for first, child in branch_children(seed):
-            warm = solve_boxed_lp(child, start=first.state)
-            cold = solve_boxed_lp(child)
+            warm = solve_boxed_lp(model_of(child), start=first.state)
+            cold = solve_boxed_lp(model_of(child))
             ref = reference_solve(child)
             assert warm.warm and not cold.warm
             assert warm.status == cold.status == STATUS_FROM_SCIPY[ref.status]
@@ -410,7 +419,7 @@ class TestDualWarmStart:
 
     def test_draws_cover_feasible_and_infeasible_children(self):
         statuses = [
-            solve_boxed_lp(child, start=first.state).status
+            solve_boxed_lp(model_of(child), start=first.state).status
             for seed in range(400, 430)
             for first, child in branch_children(seed)
         ]
@@ -419,16 +428,16 @@ class TestDualWarmStart:
 
     def test_infeasible_branch(self):
         # x0 + x1 >= 1.5 in the unit box; x1 <= 0 leaves no room for x0
-        lp = BoxedLinearProgram(
+        lp = DenseLP(
             c=[1.0, 1.0], a=[[-1.0, -1.0]], b=[-1.5],
             lower=[0.0, 0.0], upper=[1.0, 1.0],
         )
-        first = solve_boxed_lp(lp)
+        first = solve_boxed_lp(model_of(lp))
         assert first.status == "optimal"
         j = int(np.argmax(np.abs(first.x - np.round(first.x))))
         assert first.x[j] == pytest.approx(0.5)
         child = branched(lp, first.x, j, side=0)
-        res = solve_boxed_lp(child, start=first.state)
+        res = solve_boxed_lp(model_of(child), start=first.state)
         assert res.warm
         assert res.status == "infeasible"
         assert res.x is None
@@ -436,20 +445,20 @@ class TestDualWarmStart:
     def test_unusable_start_falls_back_to_slack_basis(self):
         # a basis of another program, with more rows than this one or with
         # another column count
-        lp = BoxedLinearProgram(
+        lp = DenseLP(
             c=[-1.0, -1.0], a=[[1.0, 1.0], [1.0, 0.0]], b=[1.0, 0.75],
             lower=[0.0, 0.0], upper=[1.0, 1.0],
         )
-        first = solve_boxed_lp(lp)
-        fewer_rows = BoxedLinearProgram(
+        first = solve_boxed_lp(model_of(lp))
+        fewer_rows = DenseLP(
             c=[1.0, 1.0], a=lp.a[:1], b=lp.b[:1], lower=[0.0, 0.0], upper=[0.25, 0.25]
         )
-        more_columns = BoxedLinearProgram(
+        more_columns = DenseLP(
             c=[1.0, 1.0, 1.0], a=[[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]], b=lp.b,
             lower=[0.0, 0.0, 0.0], upper=[0.25, 0.25, 0.25],
         )
         for lp2 in (fewer_rows, more_columns):
-            res = solve_boxed_lp(lp2, start=first.state)
+            res = solve_boxed_lp(model_of(lp2), start=first.state)
             assert not res.warm
             assert res.status == "optimal"
             assert res.objective == pytest.approx(0.0, abs=1e-12)
@@ -466,14 +475,14 @@ class TestBlockInverse:
     def test_matches_inverse_of_explicit_basis(self, k, seed):
         rng = np.random.default_rng(1000 + seed)
         n, m = 8, 6
-        lp = BoxedLinearProgram(
+        lp = DenseLP(
             c=rng.normal(size=n), a=rng.normal(size=(m, n)), b=rng.normal(size=m),
             lower=np.zeros(n), upper=np.ones(n),
         )
         struct = rng.choice(n, size=k, replace=False)
         slacks = rng.choice(m, size=m - k, replace=False)
         status = core().HighsBasisStatus
-        model = LPModel.from_program(lp)
+        model = model_of(lp)
         assert model._install(basis_of((
             [status.kBasic if j in struct else status.kLower for j in range(n)],
             [status.kBasic if i in slacks else status.kUpper for i in range(m)],
@@ -498,7 +507,7 @@ class TestCarriedReducedCosts:
     @staticmethod
     def pivots(lp, start=None):
         """Solve from `start` (else cold); checks KKT, returns the iterations."""
-        res = solve_boxed_lp(lp, start=start)
+        res = solve_boxed_lp(model_of(lp), start=start)
         if res.status == "optimal":
             assert_kkt(lp, res)
         return res.iterations
@@ -523,9 +532,9 @@ class TestCarriedReducedCosts:
         for seed in range(20):
             rng = np.random.default_rng(600 + seed)
             lp = random_lp(rng, force_feasible=True)
-            first = solve_boxed_lp(lp)
+            first = solve_boxed_lp(model_of(lp))
             rows = rng.normal(size=(3, lp.n))
-            lp2 = BoxedLinearProgram(
+            lp2 = DenseLP(
                 c=lp.c, a=np.vstack([lp.a, rows]),
                 b=np.append(lp.b, rows @ first.x - rng.uniform(0.0, 1.0, size=3)),
                 lower=lp.lower, upper=lp.upper,
@@ -547,7 +556,7 @@ class TestPrimalCleanUp:
         c = rng.normal(size=n)
         c[np.isinf(upper)] = np.abs(c[np.isinf(upper)])
         c[0], upper[0] = -1.0, 1.0  # at least one column that pays to grow
-        lp = BoxedLinearProgram(
+        lp = DenseLP(
             c=c, a=rng.normal(size=(m, n)), b=rng.uniform(0.0, 2.0, size=m),
             lower=np.zeros(n), upper=upper,
         )
@@ -555,7 +564,7 @@ class TestPrimalCleanUp:
         # x = 0 with every slack basic meets the rows, since b >= 0; the
         # reduced cost of x0 there is c0 = -1 at its lower bound
         start = basis_of(([status.kLower] * n, [status.kBasic] * m))
-        res = solve_boxed_lp(lp, start=start)
+        res = solve_boxed_lp(model_of(lp), start=start)
         assert res.warm
         assert res.status == "optimal"
         assert_kkt(lp, res)
@@ -567,11 +576,11 @@ def hard_model(deadline=np.inf):
     rng = np.random.default_rng(10)
     n, m = 200, 150
     a = rng.normal(size=(m, n))
-    lp = BoxedLinearProgram(
+    lp = DenseLP(
         c=rng.normal(size=n), a=a, b=a @ np.full(n, 0.5) + 1.0,
         lower=np.zeros(n), upper=np.ones(n),
     )
-    model = LPModel.from_program(lp)
+    model = model_of(lp)
     model.deadline = deadline
     return lp, model
 
@@ -604,15 +613,18 @@ class TestModel:
         # count, a model asking for one thread is refused and must retry.
         # A subprocess keeps that scheduler out of the other tests
         code = "\n".join([
-            "from slowreg.highs import BoxedLinearProgram, core, solve_boxed_lp",
+            "import numpy as np",
+            "from slowreg.highs import LPModel, core, solve_boxed_lp",
             "other = core()._Highs()",
             "other.setOptionValue('output_flag', False)",
             "other.setOptionValue('threads', 2)",
             "other.run()",
-            "lp = BoxedLinearProgram(c=[-1.0, -1.0], a=[[1.0, 2.0]], b=[1.0],",
-            "                        lower=[0.0, 0.0], upper=[1.0, 1.0])",
-            "first = solve_boxed_lp(lp)",
-            "again = solve_boxed_lp(lp, start=first.state)",
+            "def model():",
+            "    m = LPModel(np.array([-1.0, -1.0]), np.zeros(2), np.ones(2))",
+            "    m.add_row(np.arange(2, dtype=np.int32), np.array([1.0, 2.0]), 1.0)",
+            "    return m",
+            "first = solve_boxed_lp(model())",
+            "again = solve_boxed_lp(model(), start=first.state)",
             "print(first.status, first.objective, again.warm, again.objective)",
         ])
         src = str(Path(slowreg.__file__).resolve().parents[1])
@@ -649,27 +661,11 @@ class TestModel:
 
 
 class TestValidation:
-    def test_bad_shapes(self):
-        with pytest.raises(ValueError):
-            BoxedLinearProgram(c=[1.0], a=[[1.0, 2.0]], b=[1.0], lower=[0.0], upper=[1.0])
-        with pytest.raises(ValueError):
-            BoxedLinearProgram(
-                c=[1.0, 1.0], a=[[1.0, 2.0]], b=[1.0, 2.0], lower=[0.0, 0.0], upper=[1.0, 1.0]
-            )
-
-    def test_crossed_bounds(self):
-        with pytest.raises(ValueError):
-            BoxedLinearProgram(c=[1.0], a=[[1.0]], b=[1.0], lower=[2.0], upper=[1.0])
-
-    def test_infinite_lower_rejected(self):
-        with pytest.raises(ValueError):
-            BoxedLinearProgram(c=[1.0], a=[[1.0]], b=[1.0], lower=[-np.inf], upper=[1.0])
-
     def test_determinism(self):
         rng = np.random.default_rng(5)
         lp = random_lp(rng, force_feasible=True)
-        a = solve_boxed_lp(lp)
-        b = solve_boxed_lp(lp)
+        a = solve_boxed_lp(model_of(lp))
+        b = solve_boxed_lp(model_of(lp))
         assert a.status == b.status
         assert a.iterations == b.iterations
         if a.status == "optimal":

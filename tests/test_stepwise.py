@@ -53,13 +53,6 @@ class TestSparseRidgeGreedy:
         support, _ = sparse_ridge_greedy(x, y, 1, 0.1)
         assert support.tolist() == [0]
 
-    def test_allowed_restriction(self):
-        rng = np.random.default_rng(3)
-        q, _ = np.linalg.qr(rng.normal(size=(30, 4)))
-        y = 5.0 * q[:, 0] + 1.0 * q[:, 3]
-        support, _ = sparse_ridge_greedy(q, y, 1, 1e-6, allowed=np.array([1, 2, 3]))
-        assert support.tolist() == [3]
-
     def test_zero_column_never_selected(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(15, 3))
