@@ -17,6 +17,8 @@ explicit flags win. The parsed namespace is the run configuration.
 Reports are JSON documents with a fixed key set per command, sorted keys,
 a `version` field, and the resolved configuration for provenance.
 Exit codes: 0 success, 2 usage, 3 I/O, 4 infeasible budgets, 5 internal.
+Weights that are finite but so extreme that a solve fails in floating point
+(a `WeightError` or another LinAlgError) are a usage error.
 """
 
 from __future__ import annotations
@@ -465,6 +467,10 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"error: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except np.linalg.LinAlgError as exc:
+        # WeightError names the weights; a bare LinAlgError is a failed SPD solve
+        print(f"error: numerically unsolvable weights: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL

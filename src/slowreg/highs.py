@@ -14,45 +14,22 @@ the outcomes; any other HiGHS status raises. A model asks for one thread,
 and for HiGHS's own choice when the process already runs HiGHS's shared
 scheduler with another thread count.
 
-scipy's HiGHS extension is loaded at the first model, from its file and
-under its own name, since importing `scipy.optimize` costs tens of MiB.
+scipy's HiGHS extension is loaded at the first model, through
+`extensions.load`, without importing `scipy.optimize`.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-_CORE = "scipy.optimize._highspy._core"
+from .extensions import load
 
 
 def core():
     """scipy's HiGHS extension module; it is executed once per process."""
-    module = sys.modules.get(_CORE)
-    if module is not None:
-        return module
-    scipy_spec = importlib.util.find_spec("scipy")  # locates, does not import
-    if scipy_spec is None:
-        raise ImportError("the exact solver needs scipy, whose HiGHS runs its LPs")
-    folder = Path(scipy_spec.submodule_search_locations[0], "optimize", "_highspy")
-    paths = [folder / f"_core{s}" for s in importlib.machinery.EXTENSION_SUFFIXES]
-    path = next((p for p in paths if p.exists()), None)
-    if path is None:
-        raise ImportError(f"scipy's HiGHS extension is not in {folder}")
-    spec = importlib.util.spec_from_file_location(_CORE, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[_CORE] = module
-    try:
-        spec.loader.exec_module(module)
-    except BaseException:
-        del sys.modules[_CORE]
-        raise
-    return module
+    return load("scipy.optimize._highspy._core")
 
 
 class LPResult:
@@ -132,7 +109,7 @@ class LPModel:
             highs.run()
         self._held = None
         status = highs.getModelStatus()
-        iterations = highs.getInfo().simplex_iteration_count
+        iterations = highs.getInfoValue("simplex_iteration_count")[1]
         if status == statuses.kOptimal:
             solution = highs.getSolution()
             self._held = highs.getBasis()

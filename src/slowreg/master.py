@@ -24,6 +24,13 @@ The root LP is always feasible: z = 0 meets every budget that `validate`
 accepts. So a search whose heap runs dry is optimal; only child nodes can
 come back infeasible.
 
+Weights too extreme for the LP raise `WeightError` instead of giving a wrong
+certificate: a root bound -mu'mu / (2 lambda_beta) that HiGHS would read as
+infinite, or an LP point that violates one of its own cuts by more than the
+gap tolerance, which would close a node below its true bound. The cut rows
+are scaled by their largest entry, so eta's coefficient is 1/max|gradient|,
+and from gradients near 1e6 HiGHS no longer holds them that tightly.
+
 Variable layout: eta at 0, z_{t,d} at 1 + t*D + d, s_d at 1 + T*D + d,
 w_{e,d} at 1 + T*D + D + e*D + d. All rows are <= rows.
 """
@@ -38,9 +45,13 @@ import numpy as np
 
 from .highs import LPModel, solve_boxed_lp
 from .oracle import beta_star, eval_gradient, evaluate
-from .problem import BudgetError, QuadForm, SparsityBudget, check_feasible
+from .problem import (
+    BudgetError, QuadForm, SparsityBudget, WeightError, check_feasible,
+)
 
 _INT_TOL = 1e-6
+# HiGHS reads a bound of this size or more as infinite (its infinite_bound)
+_HIGHS_INFINITY = 1e20
 
 
 class Cut:
@@ -111,6 +122,12 @@ class MasterProgram:
         self.w0 = self.s0 + d_count
         self.base_rows = t_count + t_count * d_count + 1 + 2 * e_count * d_count + 1
         self.eta_lower = -0.5 * float(qf.mu @ qf.mu) / qf.lambda_beta
+        if not self.eta_lower > -_HIGHS_INFINITY:
+            raise WeightError(
+                f"lambda_beta={qf.lambda_beta:g} and lambda_delta={qf.lambda_delta:g} "
+                f"put the root bound -mu'mu / (2 lambda_beta) at {self.eta_lower:.3g}, "
+                "which the LP solver reads as unbounded"
+            )
 
         c = np.zeros(self.n_vars)
         c[0] = 1.0
@@ -287,9 +304,16 @@ def solve_support_selection(
                         start = res.state
                         continue
                 else:
-                    # a cut anchored here already bounds eta by this cost,
-                    # so no violated cut can exist at this point
+                    # a cut anchored here already bounds eta by this cost;
+                    # an LP that leaves it violated cannot resolve the costs
                     cost = known
+                    if cost - eta > limits.gap_tol * max(1.0, abs(cost)):
+                        raise WeightError(
+                            f"lambda_beta={qf.lambda_beta:g} and "
+                            f"lambda_delta={qf.lambda_delta:g}: the LP left eta "
+                            f"{cost - eta:.3g} below a cut it holds, so it cannot "
+                            "tell the support costs apart"
+                        )
                 if cost < upper:
                     upper = cost
                     incumbent = zb

@@ -24,9 +24,12 @@ solve plus one structured matvec:
 Off-support entries reduce to -(mu - v2)^2 / (2 lambda_beta) <= 0, and at
 z = 0 the whole gradient is -mu^2 / (2 lambda_beta).
 
-Chain graphs get a block-tridiagonal solve; anything else builds the
-restricted matrix densely and factors it. Both paths agree to tight
-tolerance and are cross-checked in the test suite. Neither reads a stored
+Chain graphs get a block-tridiagonal solve, one LAPACK dpbsv call on the
+banded system; anything else builds the restricted matrix densely and
+factors it with dpotrf (`blocktri.cho_factor`). Both paths agree to tight
+tolerance and are cross-checked in the test suite. A restricted system that
+is not positive definite in floating point raises `WeightError`, which
+names the weights. Neither reads a stored
 D x D block: each restricted diagonal block is formed from the X blocks at
 O(n_t * k_t^2) for k_t selected features and n_t rows at vertex t, and the
 gradient's matvec costs O(sum_t n_t * D + |E| * D).
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocktri import cho_factor, cho_solve, solve_spd_block_tridiagonal
-from .problem import QuadForm
+from .problem import QuadForm, WeightError
 
 
 @dataclass(frozen=True)
@@ -59,20 +62,13 @@ def _as_support(z: np.ndarray, n: int) -> np.ndarray:
 
 
 def _selected(qf: QuadForm, zb: np.ndarray) -> list[np.ndarray]:
-    T, D = qf.vertex_count, qf.feature_count
-    zg = zb.reshape(T, D)
-    return [np.flatnonzero(zg[t]) for t in range(T)]
+    return [row.nonzero()[0] for row in zb.reshape(qf.vertex_count, qf.feature_count)]
 
 
 def _chain_solve(qf: QuadForm, sel: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
     """Restricted solve on a chain graph: the system is block tridiagonal."""
-    T = qf.vertex_count
-    diag = [qf.diag_block(t, sel[t]) for t in range(T)]
-    sub = [
-        -qf.lambda_delta
-        * (sel[t + 1][:, None] == sel[t][None, :]).astype(np.float64)
-        for t in range(T - 1)
-    ]
+    diag = [qf.diag_block(t, s) for t, s in enumerate(sel)]
+    sub = [np.equal.outer(b, a) * -qf.lambda_delta for a, b in zip(sel, sel[1:])]
     return solve_spd_block_tridiagonal(diag, sub, rhs)
 
 
@@ -97,23 +93,19 @@ def _generic_solve(qf: QuadForm, sel: list[np.ndarray], rhs: np.ndarray) -> np.n
 
 def _solve_restricted(qf: QuadForm, zb: np.ndarray) -> np.ndarray:
     """v0 = (lambda_beta I + M_zz)^{-1} mu_z, embedded into (T*D,)."""
-    T, D = qf.vertex_count, qf.feature_count
-    sel = _selected(qf, zb)
-    v0 = np.zeros(T * D)
-    if sum(len(s) for s in sel) == 0:
+    v0 = np.zeros(zb.size)
+    if not zb.any():
         return v0
-
-    mu_g = qf.mu.reshape(T, D)
-    rhs = np.concatenate([mu_g[t][sel[t]] for t in range(T)])
+    sel = _selected(qf, zb)
     solve = _chain_solve if qf.graph.is_chain() else _generic_solve
-    x = solve(qf, sel, rhs)
-
-    pos = 0
-    v0g = v0.reshape(T, D)
-    for t in range(T):
-        k = len(sel[t])
-        v0g[t][sel[t]] = x[pos:pos + k]
-        pos += k
+    try:
+        # vertex-major with sorted sel[t], so the unknowns are in zb's order
+        v0[zb] = solve(qf, sel, qf.mu[zb])
+    except np.linalg.LinAlgError as exc:
+        raise WeightError(
+            f"lambda_beta={qf.lambda_beta:g} and lambda_delta={qf.lambda_delta:g} "
+            f"leave a restricted system that LAPACK cannot solve: {exc}"
+        ) from None
     return v0
 
 

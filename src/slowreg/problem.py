@@ -34,6 +34,14 @@ class BudgetError(ValueError):
     """Raised when sparsity budgets are inconsistent with the instance."""
 
 
+class WeightError(np.linalg.LinAlgError):
+    """Raised when the weights leave a system that floating point cannot solve.
+
+    The message names the weights. It is a LinAlgError, like the failed SPD
+    solve it usually reports.
+    """
+
+
 @dataclass(frozen=True)
 class SparsityBudget:
     """Budgets (K_L, K_G, K_C): per-vertex, global, and cross-edge support limits."""

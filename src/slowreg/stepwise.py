@@ -16,8 +16,10 @@ that shares it. The removal loop works on whole (T, D) arrays: the support
 as a boolean matrix, the coefficients, and a cache of X_t'r_t per vertex.
 Only the vertices refit in a pass get their cache row recomputed; the
 budget checks and the removal scores are array reductions over vertices and
-edges. The final coupled refit is one oracle evaluation, whose solve gives
-both the coefficients and the cost.
+edges. Each per-vertex ridge refit is one LAPACK dposv call on a k x k
+system, which raises `WeightError` when it is not positive definite. The
+final coupled refit is one oracle evaluation, whose solve gives both the
+coefficients and the cost.
 """
 
 from __future__ import annotations
@@ -27,9 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
+from .extensions import lapack
 # unused here, but perfbench/tracer.py wraps slowreg.stepwise.beta_star
 from .oracle import beta_star  # noqa: F401
-from .problem import ProblemInstance, QuadForm, SparsityBudget, build_quadform
+from .problem import (
+    ProblemInstance, QuadForm, SparsityBudget, WeightError, build_quadform,
+)
 
 
 def sparse_ridge_greedy(
@@ -79,7 +84,15 @@ def _ridge_refit(
     xs = x[:, support]
     gram = xs.T @ xs
     gram.flat[::k + 1] += lam
-    beta[support] = np.linalg.solve(gram, xs.T @ y)
+    # gram is symmetric: its transpose is the same matrix in Fortran order
+    _, coef, info = lapack.dposv(
+        gram.T, xs.T @ y, lower=1, overwrite_a=1, overwrite_b=1
+    )
+    if info:
+        raise WeightError(
+            f"lambda_beta={lam:g} leaves a vertex's ridge system not positive definite"
+        )
+    beta[support] = coef
     return beta
 
 
@@ -163,18 +176,18 @@ def stepwise_fit(
         if removal_iterations > initial_union:
             raise RuntimeError("removal loop failed to shrink the union support")
         j_star = _weakest_feature(instance, coeffs, colr, col_norm2, zg, src, dst)
-        for t in np.flatnonzero(zg[:, j_star]).tolist():
+        for t in zg[:, j_star].nonzero()[0].tolist():
             row = zg[t].copy()
             row[j_star] = False
             nbrs = instance.graph.neighbors(t)
             if nbrs:
                 s = nbrs[int(rng.integers(len(nbrs)))]
                 # zg[t] holds j_star, so it is never a candidate
-                candidates = np.flatnonzero(zg[s] & ~zg[t])
+                candidates = (zg[s] & ~zg[t]).nonzero()[0]
                 if candidates.size:
                     row[candidates[int(rng.integers(candidates.size))]] = True
             x_t, y_t = x_blocks[t], y_blocks[t]
-            beta_t = _ridge_refit(x_t, y_t, np.flatnonzero(row), lam)
+            beta_t = _ridge_refit(x_t, y_t, row.nonzero()[0], lam)
             coeffs[t] = beta_t
             colr[t] = x_t.T @ (y_t - x_t @ beta_t)
             zg[t] = beta_t != 0.0
@@ -202,7 +215,7 @@ def _weakest_feature(instance, coeffs, colr, col_norm2, zg, src, dst) -> int:
     added one at a time in index order (with a single candidate numpy sums
     pairwise instead, but then the choice is already made).
     """
-    candidates = np.flatnonzero(zg.any(axis=0))
+    candidates = zg.any(axis=0).nonzero()[0]
     b = coeffs[:, candidates]
     data = (2.0 * b * colr[:, candidates] + b**2 * col_norm2[:, candidates])
     data = data.sum(axis=0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slowreg.blocktri import solve_spd_block_tridiagonal
+from slowreg.blocktri import cho_factor, cho_solve, solve_spd_block_tridiagonal
 
 
 def random_block_tridiagonal(sizes, rng):
@@ -75,3 +75,35 @@ def test_rejects_mismatched_inputs():
 def test_empty_system():
     x = solve_spd_block_tridiagonal([], [], np.zeros(0))
     assert x.shape == (0,)
+
+
+def test_hundred_uneven_blocks_match_dense_solve():
+    # sizes 0..5 in one system: empty blocks, and neighbours whose sizes differ
+    rng = np.random.default_rng(5)
+    sizes = [int(k) for k in rng.integers(0, 6, size=100)]
+    sizes[:3] = [5, 0, 5]
+    diag, sub = random_block_tridiagonal(sizes, rng)
+    a = dense_from_blocks(diag, sub)
+    b = rng.standard_normal(a.shape[0])
+    x = solve_spd_block_tridiagonal(diag, sub, b)
+    assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-10, atol=1e-12)
+
+
+def test_indefinite_system_raises():
+    rng = np.random.default_rng(8)
+    diag, sub = random_block_tridiagonal([2, 3, 2], rng)
+    diag[1] = diag[1] - 100.0 * np.eye(3)  # a negative pivot in the middle block
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_spd_block_tridiagonal(diag, sub, np.ones(7))
+
+
+def test_dense_cholesky_solves_and_rejects_indefinite():
+    rng = np.random.default_rng(9)
+    g = rng.standard_normal((6, 6))
+    a = g @ g.T + np.eye(6)
+    b = rng.standard_normal(6)
+    factor = cho_factor(a)
+    assert np.allclose(factor, np.linalg.cholesky(a), rtol=1e-12, atol=1e-12)
+    assert np.allclose(cho_solve(factor, b), np.linalg.solve(a, b), rtol=1e-10)
+    with pytest.raises(np.linalg.LinAlgError):
+        cho_factor(a - 100.0 * np.eye(6))

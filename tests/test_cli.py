@@ -200,6 +200,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "internal error" in err and "boom" in err
 
+    def test_extreme_weights_exit_2(self, tmp_path, capsys):
+        # finite weights past what floating point can hold: the root bound
+        # -mu'mu / (2 lambda_beta) is about -3e303
+        prefix = str(tmp_path / "ds")
+        assert main(["synth", "--n", "10", "--t", "3", "--d", "5", "--kl", "2",
+                     "--kc", "2", "--methods", "stepwise", "--dump-data", prefix,
+                     "--output", str(tmp_path / "synth.json")]) == 0
+        argv = ["fit", "--data", f"{prefix}_train.csv", "--graph", f"{prefix}_graph.txt",
+                "--kl", "2", "--kg", "3", "--kc", "2", "--lambda-beta", "1e-300",
+                "--lambda-delta", "1e300", "--output", str(tmp_path / "fit.json")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "lambda_beta=1e-300 and lambda_delta=1e+300" in err
+
+    def test_singular_restricted_system_exits_2(self, tmp_path, capsys):
+        # two copies of one column and a negligible ridge: a chain solve fails
+        instance = make_instance(T=3, D=4, N=8, seed=0)
+        xs = [np.column_stack([x[:, :3], x[:, 1]]) for x in instance.x_blocks]
+        data = tmp_path / "train.csv"
+        write_data_csv(data, xs, instance.y_blocks)
+        argv = ["fit", "--data", str(data), "--chain", "--kl", "4", "--kg", "4",
+                "--kc", "2", "--lambda-beta", "1e-30", "--lambda-delta", "0.5",
+                "--output", str(tmp_path / "fit.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "not positive definite" in err and "lambda_beta=1e-30" in err
+
     def test_large_chain_fit_needs_no_dense_master(self, tmp_path):
         # T=100, D=200 chain: a dense master array would take 17.8 GiB, which
         # the sparse master does not allocate; two rows per vertex are enough

@@ -1,9 +1,10 @@
-"""What slowreg exports and loads of scipy, and the HiGHS binding it relies on.
+"""What slowreg exports and loads of scipy, and the scipy bindings it relies on.
 
 `scipy.linalg` alone adds about 27 MiB to a process and `scipy.optimize`
-more, so the package sticks to numpy at run time. The exact solver's node
-LPs run on scipy's HiGHS extension, which `slowreg.highs` loads straight
-from its file at the first exact solve; nothing else loads it.
+more, so slowreg imports neither package. It loads two of their extension
+modules straight from their files (`slowreg.extensions.load`): the LAPACK
+wrappers when slowreg is imported, and HiGHS at the first exact solve
+(`fit`, `synth`).
 """
 
 import os
@@ -17,10 +18,12 @@ import scipy
 
 import slowreg
 from slowreg.dataio import write_data_csv
+from slowreg.extensions import lapack
 from slowreg.highs import core
 
 SUBMODULES = ("cli", "dataio", "master", "problem", "stepwise", "graph", "benchmark")
 CORE = "scipy.optimize._highspy._core"
+FLAPACK = "scipy.linalg._flapack"
 HEAVY = ("scipy.linalg", "scipy.optimize")
 
 
@@ -36,8 +39,8 @@ def run_python(code: str) -> str:
 
 
 def loaded_after(lines: list[str]) -> list[str]:
-    """Which of the HiGHS extension and the heavy scipy modules `lines` load."""
-    names = (CORE,) + HEAVY
+    """Which of the two extensions and the heavy scipy modules `lines` load."""
+    names = (CORE, FLAPACK) + HEAVY
     code = "\n".join(
         ["import sys"] + lines
         + [f"print(' '.join(m for m in {names!r} if m in sys.modules))"]
@@ -54,7 +57,7 @@ def test_every_export_resolves_and_is_listed_once():
 def test_import_loads_no_scipy_linalg_or_optimize():
     # the star import also fails here when __all__ names a deleted function
     lines = ["from slowreg import *"] + [f"import slowreg.{name}" for name in SUBMODULES]
-    assert loaded_after(lines) == []
+    assert loaded_after(lines) == [FLAPACK]
 
 
 @pytest.fixture
@@ -66,8 +69,12 @@ def chain_data(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("command,expected", [("fit", [CORE]), ("gridsearch", [])])
+@pytest.mark.parametrize("command,expected", [
+    ("fit", [CORE, FLAPACK]),
+    ("gridsearch", [FLAPACK]),
+])
 def test_only_fit_loads_the_highs_extension(chain_data, tmp_path, command, expected):
+    # gridsearch makes SPD solves only; fit also runs the exact solver
     argv = [command, "--data", chain_data, "--chain", "--kl", "1", "--kg", "2",
             "--kc", "1", "--output", str(tmp_path / "report.json")]
     if command == "fit":
@@ -94,21 +101,50 @@ def test_highs_extension_is_executed_once():
     assert out.split() == ["True", "True", "2.0"]
 
 
-# every attribute of scipy's HiGHS binding that slowreg.highs uses
+def test_lapack_extension_is_executed_once():
+    # as for HiGHS: re-imports of slowreg and a later `import scipy.linalg`
+    # reuse the module loaded at the first import
+    out = run_python("\n".join([
+        "import sys",
+        "import slowreg",
+        f"first = sys.modules[{FLAPACK!r}]",
+        "for name in [m for m in sys.modules if m.startswith('slowreg')]:",
+        "    del sys.modules[name]",
+        "from slowreg.extensions import lapack",
+        "import scipy.linalg",
+        f"print(lapack is first, sys.modules[{FLAPACK!r}] is first,",
+        "      scipy.linalg.cho_solve(scipy.linalg.cho_factor([[1.0, 0], [0, 1]]), [3.0, 4.0])[1])",
+    ]))
+    assert out.split() == ["True", "True", "4.0"]
+
+
+# every LAPACK routine that slowreg.blocktri and slowreg.stepwise call
+LAPACK_ROUTINES = ("dpotrf", "dpotrs", "dposv", "dpbsv")
+
+
+def test_lapack_binding_has_every_routine_slowreg_calls():
+    missing = [name for name in LAPACK_ROUTINES if not hasattr(lapack, name)]
+    assert not missing, (
+        f"scipy {scipy.__version__} has no {', '.join(missing)} in {FLAPACK}"
+    )
+
+
+# every attribute of scipy's HiGHS binding that slowreg.highs uses, and the
+# info fields it reads through getInfoValue
 BINDING = {
     "": ("_Highs", "HighsBasis", "HighsBasisStatus", "HighsModelStatus",
-         "HighsStatus", "HighsSolution", "HighsInfo"),
+         "HighsStatus", "HighsSolution"),
     "_Highs": ("setOptionValue", "addCols", "addRows", "addRow",
                "changeColsBounds", "setBasis", "getBasis", "run",
-               "getModelStatus", "modelStatusToString", "getInfo",
+               "getModelStatus", "modelStatusToString", "getInfoValue",
                "getSolution", "getObjectiveValue", "getRunTime"),
     "HighsBasis": ("valid", "alien", "col_status", "row_status"),
     "HighsBasisStatus": ("kBasic",),
     "HighsModelStatus": ("kOptimal", "kInfeasible", "kTimeLimit", "kNotset"),
     "HighsStatus": ("kError",),
     "HighsSolution": ("col_value", "row_dual"),
-    "HighsInfo": ("simplex_iteration_count",),
 }
+INFO_VALUES = ("simplex_iteration_count",)
 
 
 def test_highs_binding_has_every_attribute_the_adapter_uses():
@@ -118,6 +154,9 @@ def test_highs_binding_has_every_attribute_the_adapter_uses():
         owner = getattr(hc, owner_name, None) if owner_name else hc
         missing += [f"{owner_name or CORE}.{name}" for name in names
                     if owner is None or not hasattr(owner, name)]
+    highs = hc._Highs()
+    missing += [f"info value {name!r}" for name in INFO_VALUES
+                if highs.getInfoValue(name)[0] != hc.HighsStatus.kOk]
     assert not missing, (
         f"scipy {scipy.__version__} moved parts of its HiGHS binding that "
         f"slowreg.highs uses: {', '.join(missing)}"
