@@ -71,8 +71,8 @@ class SynthParams:
             raise ValueError(f"need 1 <= k_l <= d, got k_l={self.k_l}, d={self.d}")
         if self.k_c < 0:
             raise ValueError("k_c must be nonnegative")
-        if not 0.0 <= self.sigma_v < math.inf:
-            raise ValueError("sigma_v must be nonnegative and finite")
+        if not 0.0 <= 2.0 * self.sigma_v < math.inf:  # the drift range is 2 sigma_v
+            raise ValueError("sigma_v must be nonnegative, and 2 * sigma_v finite")
         if not 0.0 < self.xi < math.inf:
             raise ValueError("xi must be strictly positive and finite")
         for name, rho in (("rho_t", self.rho_t), ("rho_d", self.rho_d)):
@@ -316,11 +316,17 @@ def gen_x(params: SynthParams, rng: np.random.Generator) -> np.ndarray:
 
 
 def noise_variance(clean_y: np.ndarray, xi: float) -> float:
-    """Per-entry noise variance giving E||noise||^2 = ||signal||^2 / xi^2."""
-    total = float(np.sum(np.asarray(clean_y) ** 2))
+    """Per-entry noise variance giving E||noise||^2 = ||signal||^2 / xi^2.
+
+    A signal or an xi beyond what a float holds gives inf, without a warning.
+    """
+    clean_y = np.asarray(clean_y)
+    with np.errstate(over="ignore"):
+        total = float(np.sum(clean_y ** 2))
     if total == 0.0:
         return 0.0
-    return total / (xi * xi * np.asarray(clean_y).size)
+    scale = xi * xi * clean_y.size
+    return total / scale if scale > 0.0 else math.inf
 
 
 def add_noise(
@@ -361,6 +367,13 @@ def make_synthetic_dataset(params: SynthParams) -> SynthDataset:
     x_test = gen_x(params, rng)
     signal_test = np.einsum("nvd,vd->nv", x_test, beta_mat)
     y_test = add_noise(signal_test, params.xi, rng)
+    with np.errstate(over="ignore"):
+        squares = float(np.vdot(y_train, y_train)) + float(np.vdot(y_test, y_test))
+    if not math.isfinite(squares):
+        raise ValueError(
+            f"sigma_v={params.sigma_v:g} and xi={params.xi:g} give a response "
+            "whose sum of squares is not finite"
+        )
 
     anchor = float(params.n)
     instance = ProblemInstance(
@@ -600,20 +613,16 @@ def grid_search(
     )
 
 
-def tune_static(
-    instance: ProblemInstance,
-    k: int,
-    grid: list[float] | None = None,
-    holdout_fraction: float = 0.3,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Ridge weight for the static baseline by the same holdout protocol."""
-    if grid is None:
-        grid = lambda_beta_grid(float(np.mean(instance.row_counts)))
-    train, hold_blocks = _holdout_split(instance, holdout_fraction, seed)
+def tune_static(instance: ProblemInstance, k: int, seed: int = 0) -> tuple[float, float]:
+    """Ridge weight for the static baseline by the same holdout protocol.
+
+    The candidates are `lambda_beta_grid` at the mean row count, scored on a
+    0.3 holdout split.
+    """
+    train, hold_blocks = _holdout_split(instance, 0.3, seed)
     t, d = instance.vertex_count, instance.feature_count
     best = None
-    for lb in grid:
+    for lb in lambda_beta_grid(float(np.mean(instance.row_counts))):
         beta, _ = fit_static(train, k, lb)
         r2 = _pooled_r2(beta.reshape(t, d), hold_blocks)
         if best is None or r2 > best[0]:

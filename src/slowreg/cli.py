@@ -264,6 +264,10 @@ def parse_config(argv=None) -> argparse.Namespace:
     # gridsearch runs on --data when it is given, on a synthetic dataset otherwise
     if ns.command == "synth" or (ns.command == "gridsearch" and not ns.data):
         ns.params = _synth_params(ns)
+        if ns.params.n < 2:
+            # every method tunes its weights on held-out rows
+            raise UsageError(f"{ns.command}: --n {ns.params.n} leaves no row to "
+                             "hold out for tuning the weights; give --n 2 or more")
     else:
         ns.params = None
         _check_data_inputs(ns)
@@ -342,6 +346,18 @@ def _load_fit_inputs(ns):
     return instance, scaling
 
 
+def _check_tunable(ns, instance: ProblemInstance) -> None:
+    """Tuning holds out rows at every vertex, so each needs at least two."""
+    counts = instance.row_counts
+    if min(counts) < 2:
+        hint = "; give --lambda-beta and --lambda-delta to fit without tuning"
+        raise UsageError(
+            f"{ns.command}: vertex {counts.index(min(counts))} has a single row, "
+            "and tuning the weights holds out rows at every vertex"
+            + (hint if ns.command == "fit" else "")
+        )
+
+
 def _budget(ns, instance: ProblemInstance) -> SparsityBudget:
     budget = SparsityBudget(max_per_vertex=ns.kl, max_global=ns.kg, max_changes=ns.kc)
     budget.validate(instance.vertex_count, instance.feature_count)
@@ -368,6 +384,7 @@ def _run_fit(ns) -> dict:
     t, d = instance.vertex_count, instance.feature_count
     budget = _budget(ns, instance)
     if ns.grid:
+        _check_tunable(ns, instance)
         gs = grid_search(instance, budget, seed=ns.seed)
         instance, warm = gs.instance, gs.fit
         lambda_beta, lambda_delta = gs.lambda_beta, gs.lambda_delta
@@ -420,6 +437,7 @@ def _run_gridsearch(ns) -> dict:
     if ns.params is None:
         instance, _ = _load_fit_inputs(ns)
         budget = _budget(ns, instance)
+        _check_tunable(ns, instance)
     else:
         dataset = _dataset(ns)
         instance, budget = dataset.instance, solver_budget(dataset)

@@ -14,6 +14,7 @@ sidecar holds `key=value` lines.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from pathlib import Path
 from typing import NoReturn
@@ -44,13 +45,14 @@ def write_data_csv(path, x_blocks, y_blocks) -> None:
 def read_data_csv(path):
     """Parse the observation CSV back into per-vertex (x, y) blocks.
 
-    Vertices must cover 0..T-1 with at least one row each; row order within
-    a vertex follows file order. After the header, the body streams from the
-    open file into one float array (`np.loadtxt`); a stable sort by vertex
-    id, needed only when the file is not grouped by vertex, puts the rows in
-    block order, and the blocks are contiguous views of that array. Any row
-    that does not parse cleanly sends the reader back over the file line by
-    line to name the first bad line.
+    Vertices must cover 0..T-1 with at least one row each, and every y and
+    x value must be finite; row order within a vertex follows file order.
+    After the header, the body streams from the open file into one float
+    array (`np.loadtxt`); a stable sort by vertex id, needed only when the
+    file is not grouped by vertex, puts the rows in block order, and the
+    blocks are contiguous views of that array. Any row that does not parse
+    cleanly sends the reader back over the file line by line to name the
+    first bad line.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -79,11 +81,12 @@ def read_data_csv(path):
     if body.shape[0] == 0:
         raise ValueError(f"{path}: no data rows")
     vertex = body[:, 0]
-    if body.shape[1] != d + 2 or not np.all(
-        np.isfinite(vertex) & (vertex >= 0.0) & (vertex == np.floor(vertex))
+    if body.shape[1] != d + 2 or not (
+        np.isfinite(body).all() and np.all((vertex >= 0.0) & (vertex == np.floor(vertex)))
     ):
         _raise_first_bad_row(
-            path, d, f"need {d + 2} fields and a nonnegative integer vertex id"
+            path, d,
+            f"need {d + 2} fields, a nonnegative integer vertex id and finite numbers",
         )
     t = int(vertex.max()) + 1
     present = np.unique(vertex)
@@ -123,10 +126,12 @@ def _raise_first_bad_row(path: Path, d: int, reason: str) -> NoReturn:
                 )
             try:
                 v = int(row[0])
-                for c in row[1:]:
-                    float(c)
+                values = [float(c) for c in row[1:]]
             except ValueError as err:
                 raise ValueError(f"{path}:{lineno}: {err}") from None
+            for c, value in zip(row[1:], values):
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{lineno}: non-finite value {c!r}")
             if v < 0:
                 raise ValueError(f"{path}:{lineno}: negative vertex id {v}")
     raise ValueError(f"{path}: unreadable data rows: {reason}")

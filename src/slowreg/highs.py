@@ -26,6 +26,9 @@ import numpy as np
 
 from .extensions import load
 
+# HiGHS reads a bound of this size or more as infinite (its infinite_bound)
+HIGHS_INFINITY = 1e20
+
 
 def core():
     """scipy's HiGHS extension module; it is executed once per process."""
@@ -73,10 +76,6 @@ class LPModel:
             count, np.full(count, -np.inf), upper, index.size, starts, index, value
         ))
         self.m += count
-
-    def add_row(self, index, value, upper: float) -> None:
-        self._check(self.highs.addRow(-np.inf, upper, index.size, index, value))
-        self.m += 1
 
     def set_bounds(self, cols, lower, upper) -> None:
         self._check(self.highs.changeColsBounds(cols.size, cols, lower, upper))

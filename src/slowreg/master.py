@@ -10,7 +10,14 @@ anchor's bytes; that record also holds the anchor's exact cost, so an
 integral point that is already an anchor closes its node without another
 oracle call. A warm start contributes the first cut. A node whose LP
 relaxation turns integral either adds a violated cut and re-solves in place
-or certifies an incumbent and closes. Nodes are explored best bound first.
+or certifies an incumbent and closes.
+
+A node is a heap entry (bound, seq, fixed, basis): its parent's LP value, a
+tie-breaking counter, one int8 per z column (-1 free, 0 or 1) and its
+parent's final basis. Nodes are explored best bound first, so a popped node
+holds the least open bound, which the gap test before the pop found open: it
+is never dominated. That test, `_relative_gap(upper, bound) <= gap_tol`, is
+the one closing rule, for a node LP value too; a dry heap gives lower = upper.
 
 All node LPs of one solve run on one HiGHS model (`highs.LPModel`): the
 base rows go in once, sparse, a cut is one more row, and a node's fixings
@@ -21,8 +28,7 @@ few dual simplex pivots re-solve it. A node LP that reaches the time limit
 ends the search with `time_limit`.
 
 The root LP is always feasible: z = 0 meets every budget that `validate`
-accepts. So a search whose heap runs dry is optimal; only child nodes can
-come back infeasible.
+accepts; only child nodes can come back infeasible.
 
 Weights too extreme for the LP raise `WeightError` instead of giving a wrong
 certificate: a root bound -mu'mu / (2 lambda_beta) that HiGHS would read as
@@ -43,15 +49,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .highs import LPModel, solve_boxed_lp
+from .highs import HIGHS_INFINITY, LPModel, solve_boxed_lp
 from .oracle import beta_star, eval_gradient, evaluate
 from .problem import (
     BudgetError, QuadForm, SparsityBudget, WeightError, check_feasible,
 )
 
 _INT_TOL = 1e-6
-# HiGHS reads a bound of this size or more as infinite (its infinite_bound)
-_HIGHS_INFINITY = 1e20
 
 
 class Cut:
@@ -122,7 +126,7 @@ class MasterProgram:
         self.w0 = self.s0 + d_count
         self.base_rows = t_count + t_count * d_count + 1 + 2 * e_count * d_count + 1
         self.eta_lower = -0.5 * float(qf.mu @ qf.mu) / qf.lambda_beta
-        if not self.eta_lower > -_HIGHS_INFINITY:
+        if not self.eta_lower > -HIGHS_INFINITY:
             raise WeightError(
                 f"lambda_beta={qf.lambda_beta:g} and lambda_delta={qf.lambda_delta:g} "
                 f"put the root bound -mu'mu / (2 lambda_beta) at {self.eta_lower:.3g}, "
@@ -140,10 +144,6 @@ class MasterProgram:
         self._z_cols = np.arange(self.z0, self.s0, dtype=np.int32)
 
         self.cuts: dict[bytes, Cut] = {}  # keyed by the anchor's bytes
-
-    @property
-    def m(self) -> int:
-        return self.lp.m
 
     def _base_rows(self):
         """The budget rows in compressed form: (starts, columns, values, rhs)."""
@@ -175,14 +175,6 @@ class MasterProgram:
         assert rhs.size == self.base_rows
         return starts, cols, vals, rhs
 
-    @property
-    def cut_count(self) -> int:
-        return len(self.cuts)
-
-    def known_cost(self, anchor: np.ndarray) -> float | None:
-        cut = self.cuts.get(anchor.tobytes())
-        return None if cut is None else cut.value
-
     def add_cut(self, anchor: np.ndarray, cost: float, gradient: np.ndarray) -> bool:
         """Append eta >= cost + gradient'(z - anchor), row-scaled to O(1)."""
         key = anchor.tobytes()
@@ -191,19 +183,21 @@ class MasterProgram:
         gradient = np.asarray(gradient, dtype=np.float64)
         sigma = max(1.0, float(np.max(np.abs(gradient))))
         nonzero = np.flatnonzero(gradient)
-        self.lp.add_row(
+        self.lp.add_rows(
+            np.zeros(1, dtype=np.int32),
             np.concatenate([[0], self.z0 + nonzero]).astype(np.int32),
             np.concatenate([[-1.0], gradient[nonzero]]) / sigma,
-            (float(gradient @ anchor.astype(np.float64)) - cost) / sigma,
+            np.array([float(gradient @ anchor.astype(np.float64)) - cost]) / sigma,
         )
         self.cuts[key] = Cut(
             anchor=anchor.astype(bool).copy(), value=cost, gradient=gradient.copy(),
         )
         return True
 
-    def fix(self, fix0: np.ndarray, fix1: np.ndarray) -> None:
-        """Bound the z columns for one node: fix0 to 0, fix1 to 1, the rest to [0, 1]."""
-        self.lp.set_bounds(self._z_cols, fix1.astype(np.float64), (~fix0).astype(np.float64))
+    def fix(self, fixed: np.ndarray) -> None:
+        """Bound the z columns for one node: -1 to [0, 1], 0 to 0, 1 to 1."""
+        self.lp.set_bounds(self._z_cols, (fixed == 1).astype(np.float64),
+                           (fixed != 0).astype(np.float64))
 
 
 def branch_variable(z_values: np.ndarray) -> int:
@@ -254,23 +248,21 @@ def solve_support_selection(
         upper = ev.cost
 
     seq = 0
-    no_fix = np.zeros(td, dtype=bool)
-    # a node: (bound, seq, fixed to 0, fixed to 1, its parent's final basis)
-    heap = [(mp.eta_lower, seq, no_fix, no_fix, None)]
+    heap = [(mp.eta_lower, seq, np.full(td, -1, dtype=np.int8), None)]
     node_count = 0
-    lower = mp.eta_lower
-    status: str | None = None
     history: list[tuple[float, float, float]] = []
 
     def elapsed() -> float:
         return time.perf_counter() - start_time
 
-    while heap:
-        lower = min(heap[0][0], upper)
+    while True:
+        lower = min(heap[0][0], upper) if heap else upper
         history.append((elapsed(), lower, upper))
         if _relative_gap(upper, lower) <= limits.gap_tol:
             status = "optimal"
             break
+        if not heap:
+            raise RuntimeError("search ended without an incumbent")
         if elapsed() > limits.time_limit:
             status = "time_limit"
             break
@@ -278,24 +270,22 @@ def solve_support_selection(
             status = "node_limit"
             break
 
-        bound, _, fix0, fix1, start = heapq.heappop(heap)
-        if bound >= upper - limits.gap_tol * max(1.0, abs(upper)):
-            continue
+        _, _, fixed, start = heapq.heappop(heap)
         node_count += 1
 
-        mp.fix(fix0, fix1)
+        mp.fix(fixed)
         while True:  # lazy-evaluation loop on one node
             res = solve_boxed_lp(mp.lp, start=start)
             if res.status != "optimal":
                 break
+            if _relative_gap(upper, res.objective) <= limits.gap_tol:
+                break  # the whole subtree is dominated by the incumbent
             eta = float(res.x[0])
             z_values = res.x[mp.z0 : mp.s0]
-            if res.objective >= upper - limits.gap_tol * max(1.0, abs(upper)):
-                break  # the whole subtree is dominated by the incumbent
             if np.max(np.abs(z_values - np.round(z_values))) <= _INT_TOL:
                 zb = np.ascontiguousarray(np.round(z_values) != 0.0)
-                known = mp.known_cost(zb)
-                if known is None:
+                cut = mp.cuts.get(zb.tobytes())
+                if cut is None:
                     ev = evaluate(qf, zb)
                     cost = ev.cost
                     if cost > eta + cut_tol:
@@ -306,7 +296,7 @@ def solve_support_selection(
                 else:
                     # a cut anchored here already bounds eta by this cost;
                     # an LP that leaves it violated cannot resolve the costs
-                    cost = known
+                    cost = cut.value
                     if cost - eta > limits.gap_tol * max(1.0, abs(cost)):
                         raise WeightError(
                             f"lambda_beta={qf.lambda_beta:g} and "
@@ -321,22 +311,14 @@ def solve_support_selection(
             else:
                 j = branch_variable(z_values)
                 for value in (0, 1):
-                    child0, child1 = fix0.copy(), fix1.copy()
-                    (child1 if value else child0)[j] = True
+                    child = fixed.copy()
+                    child[j] = value
                     seq += 1
-                    heapq.heappush(heap, (res.objective, seq, child0, child1, res.state))
+                    heapq.heappush(heap, (res.objective, seq, child, res.state))
                 break
         if res.status == "time_limit":
             status = "time_limit"
             break
-
-    if status is None:
-        # the heap ran dry: every subtree is resolved
-        if incumbent is None:
-            raise RuntimeError("search ended without an incumbent")
-        status = "optimal"
-        lower = upper
-        history.append((elapsed(), lower, upper))
 
     if incumbent is not None:
         beta = beta_star(qf, incumbent)
@@ -356,7 +338,7 @@ def solve_support_selection(
         relative_gap=_relative_gap(upper, lower),
         objective_gap=_relative_gap(objective, objective_lower),
         node_count=node_count,
-        cut_count=mp.cut_count,
+        cut_count=len(mp.cuts),
         wall_time=elapsed(),
         history=history,
         cuts=list(mp.cuts.values()),

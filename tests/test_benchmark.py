@@ -64,6 +64,7 @@ class TestSynthParams:
             ("k_c", -1), ("sigma_v", -0.1), ("xi", 0.0),
             ("rho_t", 1.0), ("rho_d", -0.2), ("sigma_v", np.nan),
             ("sigma_v", np.inf), ("xi", np.nan), ("xi", np.inf),
+            ("sigma_v", 1e308),
         ],
     )
     def test_rejects_bad_scalars(self, field, value):
@@ -285,6 +286,12 @@ class TestAddNoise:
     def test_rejects_nonpositive_xi(self):
         with pytest.raises(ValueError):
             add_noise(np.ones((4, 2)), 0.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("scale,xi", [(1.0, 1e-300), (1e300, 2.0)])
+    def test_variance_past_float_range_is_inf_without_warnings(self, scale, xi):
+        # xi * xi underflows to 0 in the first case; the squares overflow in
+        # the second (tier-1 turns any warning into an error)
+        assert noise_variance(np.full((4, 3), scale), xi) == np.inf
 
 
 def metrics_reference(beta_hat, z_hat, dataset):
@@ -647,6 +654,13 @@ class TestDatasetAssembly:
         ds = make_synthetic_dataset(temporal_params(seed=37))
         assert ds.metadata["noise_var_train"] > 0.0
         assert ds.metadata["noise_var_test"] > 0.0
+
+    @pytest.mark.parametrize("field,value", [("xi", 1e-300), ("xi", 1e-154),
+                                             ("sigma_v", 1e300)])
+    def test_response_past_float_range_is_refused(self, field, value):
+        params = temporal_params(n=4, t=3, d=3, k_l=1, **{field: value})
+        with pytest.raises(ValueError, match=r"sigma_v=.* and xi=.* give a response"):
+            make_synthetic_dataset(params)
 
 
 class TestRunBenchmark:

@@ -228,6 +228,69 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "not positive definite" in err and "lambda_beta=1e-30" in err
 
+    @pytest.fixture
+    def one_row_at_vertex_0(self, tmp_path):
+        instance = make_instance(T=3, D=4, N=6, seed=7)
+        xs = (instance.x_blocks[0][:1],) + instance.x_blocks[1:]
+        ys = (instance.y_blocks[0][:1],) + instance.y_blocks[1:]
+        data = tmp_path / "one_row.csv"
+        write_data_csv(data, xs, ys)
+        return ["--data", str(data), "--chain", "--kl", "1", "--kg", "2", "--kc", "1"]
+
+    def test_one_row_vertex_under_tuned_fit_exits_2(self, one_row_at_vertex_0,
+                                                   tmp_path, capsys):
+        out = ["--output", str(tmp_path / "fit.json")]
+        assert main(["fit"] + one_row_at_vertex_0 + out) == 2
+        err = capsys.readouterr().err
+        assert "vertex 0 has a single row" in err
+        assert "give --lambda-beta and --lambda-delta" in err
+        weights = ["--lambda-beta", "1", "--lambda-delta", "1"]
+        assert main(["fit"] + one_row_at_vertex_0 + weights + out) == 0
+
+    def test_one_row_vertex_under_data_gridsearch_exits_2(self, one_row_at_vertex_0,
+                                                          tmp_path, capsys):
+        argv = ["gridsearch"] + one_row_at_vertex_0 + ["--output", str(tmp_path / "gs.json")]
+        assert main(argv) == 2
+        assert "gridsearch: vertex 0 has a single row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("methods", ["static", "stepwise", "cutplane",
+                                         "static,stepwise,cutplane"])
+    def test_one_row_synth_exits_2(self, tmp_path, capsys, methods):
+        argv = ["synth", "--n", "1", "--t", "3", "--d", "4", "--kl", "1", "--kc", "1",
+                "--methods", methods, "--output", str(tmp_path / "synth.json")]
+        assert main(argv) == 2
+        assert "synth: --n 1 leaves no row to hold out" in capsys.readouterr().err
+
+    def test_one_row_synthetic_gridsearch_exits_2(self, tmp_path, capsys):
+        argv = ["gridsearch", "--n", "1", "--t", "3", "--d", "4", "--kl", "1",
+                "--kc", "1", "--output", str(tmp_path / "gs.json")]
+        assert main(argv) == 2
+        assert "gridsearch: --n 1 leaves no row to hold out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "gridsearch"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite_data_value_exits_3(self, data_files, tmp_path, capsys,
+                                           command, value):
+        data, graph = data_files
+        lines = Path(data).read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[2] = value  # x0 of the third data row
+        lines[3] = ",".join(cells)
+        Path(data).write_text("\n".join(lines) + "\n")
+        argv = {"fit": fit_argv(data, graph, tmp_path / "report.json"),
+                "gridsearch": gridsearch_argv(data, graph)}[command]
+        assert main(argv) == 3
+        assert f"train.csv:4: non-finite value '{value}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--xi", "1e-300"), ("--sigma-v", "1e300")])
+    def test_synthetic_response_past_float_range_exits_2(self, tmp_path, capsys,
+                                                         flag, value):
+        argv = ["synth", "--n", "4", "--t", "3", "--d", "3", "--kl", "1", "--kc", "1",
+                flag, value, "--output", str(tmp_path / "synth.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "synth: sigma_v=" in err and "give a response whose sum of squares" in err
+
     def test_large_chain_fit_needs_no_dense_master(self, tmp_path):
         # T=100, D=200 chain: a dense master array would take 17.8 GiB, which
         # the sparse master does not allocate; two rows per vertex are enough

@@ -160,6 +160,16 @@ class TestDataCsv:
         with pytest.raises(ValueError, match=r"word.csv:3: .*'one'"):
             read_data_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "NaN"])
+    @pytest.mark.parametrize("column", [1, 2, 3])
+    def test_non_finite_value_names_its_line(self, tmp_path, value, column):
+        row = ["1", "1.0", "2.0", "3.0"]
+        row[column] = value
+        path = tmp_path / "nonfinite.csv"
+        path.write_text("vertex,y,x0,x1\n0,1.0,2.0,3.0\n" + ",".join(row) + "\n")
+        with pytest.raises(ValueError, match=rf"nonfinite.csv:3: non-finite value '{value}'"):
+            read_data_csv(path)
+
     @pytest.mark.parametrize("eol", ["\n", "\r\n"])
     def test_line_endings_and_trailing_blank_lines(self, tmp_path, eol):
         lines = ["vertex,y,x0", "0,0.1,1e-300", "1,-2.5,3.0", "0,7.0,-0.0", "", ""]

@@ -134,8 +134,8 @@ def test_lapack_binding_has_every_routine_slowreg_calls():
 BINDING = {
     "": ("_Highs", "HighsBasis", "HighsBasisStatus", "HighsModelStatus",
          "HighsStatus", "HighsSolution"),
-    "_Highs": ("setOptionValue", "addCols", "addRows", "addRow",
-               "changeColsBounds", "setBasis", "getBasis", "run",
+    "_Highs": ("setOptionValue", "addCols", "addRows", "changeColsBounds",
+               "setBasis", "getBasis", "run",
                "getModelStatus", "modelStatusToString", "getInfoValue",
                "getSolution", "getObjectiveValue", "getRunTime"),
     "HighsBasis": ("valid", "alien", "col_status", "row_status"),

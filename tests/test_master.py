@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slowreg import (
     BudgetError,
@@ -35,6 +36,7 @@ from util import (
     budget_patterns,
     exhaustive_best_support,
     make_instance,
+    random_graph,
     set_feasible_reference,
 )
 
@@ -55,12 +57,12 @@ class TestMasterProgram:
         t, d, e = 2, 4, 1
         assert mp.n_vars == 1 + t * d + d + e * d
         assert mp.base_rows == t + t * d + 1 + 2 * e * d + 1
-        assert mp.m == mp.base_rows
+        assert mp.lp.m == mp.base_rows
 
     def test_lp_without_cuts_rests_on_eta_floor(self):
         _, qf, budget = small_setup(1)
         mp = MasterProgram(qf, budget)
-        mp.fix(np.zeros(8, dtype=bool), np.zeros(8, dtype=bool))
+        mp.fix(np.full(8, -1, dtype=np.int8))
         res = solve_boxed_lp(mp.lp)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(mp.eta_lower, abs=1e-9)
@@ -80,8 +82,8 @@ class TestMasterProgram:
         grad = np.linspace(-2.0, 2.0, 8)
         assert mp.add_cut(anchor, -1.0, grad)
         assert not mp.add_cut(anchor, -1.0, grad)
-        assert mp.cut_count == 1
-        assert mp.known_cost(anchor) == -1.0
+        assert len(mp.cuts) == 1
+        assert mp.cuts.get(anchor.tobytes()).value == -1.0
 
     def test_cut_row_scaling(self):
         _, qf, budget = small_setup(4)
@@ -89,7 +91,7 @@ class TestMasterProgram:
         anchor = np.zeros(8, dtype=bool)
         grad = np.full(8, -1e7)
         mp.add_cut(anchor, -5e6, grad)
-        _, cols, values = mp.lp.highs.getRowEntries(mp.m - 1)
+        _, cols, values = mp.lp.highs.getRowEntries(mp.lp.m - 1)
         assert cols.tolist() == list(range(1 + 8))  # eta and every z
         assert np.max(np.abs(values)) <= 1.0 + 1e-12
 
@@ -106,9 +108,7 @@ class TestMasterProgram:
         ev = evaluate(qf, anchor)
         grad = eval_gradient(qf, anchor, ev)
         mp.add_cut(anchor, ev.cost, grad)
-        fix1 = anchor.copy()
-        fix0 = ~anchor
-        mp.fix(fix0, fix1)
+        mp.fix(anchor.astype(np.int8))
         res = solve_boxed_lp(mp.lp)
         assert res.status == "optimal"
         assert res.objective >= ev.cost - 1e-8
@@ -116,11 +116,10 @@ class TestMasterProgram:
     def test_node_bounds_applied(self):
         _, qf, budget = small_setup(6)
         mp = MasterProgram(qf, budget)
-        fix0 = np.zeros(8, dtype=bool)
-        fix1 = np.zeros(8, dtype=bool)
-        fix0[2] = True
-        fix1[5] = True
-        mp.fix(fix0, fix1)
+        fixed = np.full(8, -1, dtype=np.int8)
+        fixed[2] = 0
+        fixed[5] = 1
+        mp.fix(fixed)
         cols = np.arange(mp.n_vars, dtype=np.int32)
         _, _, _, lower, upper, _ = mp.lp.highs.getCols(cols.size, cols)
         assert upper[mp.z0 + 2] == 0.0
@@ -161,7 +160,7 @@ class TestMasterProgram:
                 row([(z(u, j), -1.0), (z(v, j), 1.0), (w, -1.0)], 0.0)
         row([(1 + t * d + d + k, 1.0) for k in range(len(edges) * d)], 3.0)
 
-        assert mp.m == mp.base_rows == len(rows)
+        assert mp.lp.m == mp.base_rows == len(rows)
         for i, (expected, bound) in enumerate(zip(rows, rhs)):
             _, lower, upper, _ = mp.lp.highs.getRow(i)
             _, cols, values = mp.lp.highs.getRowEntries(i)
@@ -347,7 +346,7 @@ class TestCutGeometry:
         anchor = np.zeros(td, dtype=bool)
         gradient = -np.linspace(1.0, 2.0, td)
         mp.add_cut(anchor, 0.0, gradient)
-        mp.fix(np.zeros(td, bool), np.zeros(td, bool))
+        mp.fix(np.full(td, -1, dtype=np.int8))
         res = solve_boxed_lp(mp.lp)
         assert res.status == "optimal"
         z_lp = res.x[mp.z0 : mp.s0]
@@ -450,6 +449,53 @@ class TestTermination:
         _, qf, budget = small_setup(49)
         with pytest.raises(RuntimeError, match="without an incumbent"):
             solve_support_selection(qf, budget, limits=TIGHT)
+
+
+class TestSearchProperties:
+    """Random instances on chain, random and edgeless graphs, T <= 3, D <= 4."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_cuts_and_history(self, data):
+        t = data.draw(st.integers(1, 3), label="t")
+        d = data.draw(st.integers(1, 4), label="d")
+        kind = data.draw(st.sampled_from(["chain", "random", "edgeless"]), label="kind")
+        k_l = data.draw(st.integers(1, d), label="k_l")
+        k_g = data.draw(st.integers(k_l, d), label="k_g")
+        k_c = data.draw(st.integers(0, 2 * k_l * t), label="k_c")
+        lambda_beta = data.draw(st.floats(0.02, 20.0), label="lambda_beta")
+        lambda_delta = data.draw(st.floats(0.0, 20.0), label="lambda_delta")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        pairs = t * (t - 1) // 2
+        graph = {
+            "chain": SimilarityGraph.chain(t),
+            "random": random_graph(t, int(rng.integers(min(1, pairs), pairs + 1)), rng),
+            "edgeless": SimilarityGraph(t, edges=()),
+        }[kind]
+        instance = make_instance(T=t, D=d, N=6, seed=seed, lambda_beta=lambda_beta,
+                                 lambda_delta=lambda_delta, graph=graph)
+        qf = build_quadform(instance)
+        budget = SparsityBudget(max_per_vertex=k_l, max_global=k_g, max_changes=k_c)
+        warm = stepwise_fit(instance, budget, seed=seed, qf=qf)
+        limits = SolveLimits(time_limit=60.0, max_nodes=50)
+        res = solve_support_selection(qf, budget, warm_start=warm.z, limits=limits)
+
+        best, _ = exhaustive_best_support(instance, k_l, k_g, k_c)
+        tol = 1e-9 * max(1.0, abs(best))
+        assert res.lower_bound <= best + tol
+        assert best <= res.upper_bound + tol
+        if res.status == "optimal":
+            assert res.upper_bound - best <= limits.gap_tol * max(1.0, abs(best)) + tol
+        assert res.upper_bound <= eval_cost(qf, warm.z)
+        for bits in budget_patterns(t, d, k_l, k_g, k_c, graph.edges):
+            z = np.array(bits, dtype=bool)
+            cost = eval_cost(qf, z)
+            for cut in res.cuts:
+                assert cut.evaluate(z) <= cost + 1e-9 * max(1.0, abs(cost))
+        if res.status != "time_limit":
+            # best first: every pass of the loop pops a node or stops
+            assert len(res.history) == res.node_count + 1
 
 
 def weak_chain_setup(seed):
@@ -579,7 +625,7 @@ class TestMasterSize:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (mp.n_vars, mp.m) == (40_001, 59_702)
+        assert (mp.n_vars, mp.lp.m) == (40_001, 59_702)
         t, d, e = 100, 200, 99
         nnz = t * d + 2 * t * d + d + 6 * e * d + e * d
         # the compressed rows take 12 bytes an entry; allow for temporaries
@@ -587,4 +633,4 @@ class TestMasterSize:
 
     def test_small_program_fits(self):
         _, qf, budget = small_setup(0)
-        assert MasterProgram(qf, budget).m > 0
+        assert MasterProgram(qf, budget).lp.m > 0

@@ -621,7 +621,8 @@ class TestModel:
             "other.run()",
             "def model():",
             "    m = LPModel(np.array([-1.0, -1.0]), np.zeros(2), np.ones(2))",
-            "    m.add_row(np.arange(2, dtype=np.int32), np.array([1.0, 2.0]), 1.0)",
+            "    m.add_rows(np.zeros(1, dtype=np.int32), np.arange(2, dtype=np.int32),",
+            "               np.array([1.0, 2.0]), np.array([1.0]))",
             "    return m",
             "first = solve_boxed_lp(model())",
             "again = solve_boxed_lp(model(), start=first.state)",
@@ -651,7 +652,8 @@ class TestModel:
         # a cut re-solve: the start is the basis the model holds, and the new
         # row enters basic inside HiGHS
         row = np.random.default_rng(11).normal(size=lp.n)
-        model.add_row(np.arange(lp.n, dtype=np.int32), row, float(row @ first.x) - 0.1)
+        model.add_rows(np.zeros(1, dtype=np.int32), np.arange(lp.n, dtype=np.int32), row,
+                       np.array([float(row @ first.x) - 0.1]))
         again = solve_boxed_lp(model, start=first.state)
         assert again.warm and installs == []
         # another start is installed, with the appended row basic
