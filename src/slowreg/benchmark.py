@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import fanout
 from .graph import SimilarityGraph
 from .master import SolveLimits, SolveResult, solve_support_selection
 from .problem import (
@@ -572,6 +573,12 @@ def grid_search(
     restricted block costs O(n_t * k^2), a matvec O(sum_t n_t * D)). The
     greedy phase of the stepwise heuristic depends only on lambda_beta, so
     it runs once per distinct lambda_beta.
+
+    When the design holds `fanout.FORK_FLOOR_BYTES` or more, the
+    lambda_beta groups (a greedy start and its fits) are shared by the
+    parent and forked children, one process per allowed CPU at most; only
+    the R^2 values come back, and the table, the best pair and the refit
+    are the same bytes as a serial run's.
     """
     if grid is None:
         anchor = float(np.mean(instance.row_counts))
@@ -579,26 +586,21 @@ def grid_search(
     if not grid:
         raise ValueError("the tuning grid is empty")
     train, hold_blocks = _holdout_split(instance, holdout_fraction, seed)
-    t, d = instance.vertex_count, instance.feature_count
-
     qf = build_quadform(train)
-    starts = {}
+
+    def scores(indices):
+        return _holdout_scores(indices, train, qf, hold_blocks, budget, grid, seed)
+
+    r2s = _forked_scores(grid, sum(x.nbytes for x in instance.x_blocks), scores)
+    if r2s is None:
+        r2s = scores(range(len(grid)))
 
     best = None
     table = []
-    for lb, ld in grid:
-        sub = train.with_weights(lb, ld)
-        if lb not in starts:
-            starts[lb] = greedy_start(sub, budget)
-        res = stepwise_fit(
-            sub, budget, seed=seed,
-            qf=replace(qf, lambda_beta=lb, lambda_delta=ld), start=starts[lb],
-        )
-        r2 = _pooled_r2(res.beta.reshape(t, d), hold_blocks)
+    for (lb, ld), r2 in zip(grid, r2s):
         table.append({"lambda_beta": lb, "lambda_delta": ld, "holdout_r2": r2})
         if best is None or r2 > best[0]:
             best = (r2, lb, ld)
-    del starts    # free the greedy starts before the full refit
 
     r2_best, lb_best, ld_best = best
     full = instance.with_weights(lb_best, ld_best)
@@ -611,6 +613,62 @@ def grid_search(
         fit=final_fit,
         instance=full,
     )
+
+
+def _holdout_scores(indices, train, qf, hold_blocks, budget, grid, seed) -> list[float]:
+    """Holdout R^2 of the stepwise fit at each grid pair in `indices`, in that order.
+
+    The greedy start of each lambda_beta is made at its first pair and kept
+    for the later ones.
+    """
+    t, d = train.vertex_count, train.feature_count
+    starts = {}
+    out = []
+    for i in indices:
+        lb, ld = grid[i]
+        sub = train.with_weights(lb, ld)
+        if lb not in starts:
+            starts[lb] = greedy_start(sub, budget)
+        res = stepwise_fit(
+            sub, budget, seed=seed,
+            qf=replace(qf, lambda_beta=lb, lambda_delta=ld), start=starts[lb],
+        )
+        out.append(_pooled_r2(res.beta.reshape(t, d), hold_blocks))
+    return out
+
+
+def _forked_scores(grid, size: int, scores) -> list[float] | None:
+    """`scores` of every grid index, the lambda_beta groups shared over forks.
+
+    `size` is the data's byte count. Group k of the grid (in first-seen
+    order) goes to share k % count, the parent scores share 0, and the
+    children send back their R^2 lists. Returns None, for a serial pass,
+    when one process should do it all or any share fails: the serial pass
+    then raises the error that a serial run raises, at the same pair.
+    """
+    groups: dict[float, list[int]] = {}
+    for i, (lb, _) in enumerate(grid):
+        groups.setdefault(lb, []).append(i)
+    count = fanout.worker_count(size, len(groups))
+    if count < 2:
+        return None
+    dealt = list(groups.values())
+    shares = [sorted(sum(dealt[k::count], [])) for k in range(count)]
+
+    def collect(children):
+        return [scores(shares[0])] + [child.head() for child in children]
+
+    try:
+        parts = fanout.fan_out(count - 1, lambda k: (scores(shares[k + 1]), None), collect)
+    except Exception:
+        return None
+    if parts is None:
+        return None
+    r2s = [0.0] * len(grid)
+    for share, part in zip(shares, parts):
+        for i, r2 in zip(share, part):
+            r2s[i] = r2
+    return r2s
 
 
 def tune_static(instance: ProblemInstance, k: int, seed: int = 0) -> tuple[float, float]:

@@ -3,10 +3,13 @@
 The observation file is a CSV with header `vertex,y,x0,...,x{D-1}`, one row
 per observation, vertices numbered from 0. Per-vertex row counts may differ.
 Floats are written with `repr`, which round-trips exactly, so a dataset
-survives dump/load bit-for-bit. The reader streams the rows from the open
-file into one float array rather than through Python lists, and the
-per-vertex blocks are views carved out of that array in place, so reading a
-file costs about one copy of its numbers in memory.
+survives dump/load bit-for-bit. The reader parses the rows into one float
+array rather than through Python lists, and the per-vertex blocks are views
+carved out of that array in place, so reading a file costs about one copy
+of its numbers in memory. A file of `fanout.FORK_FLOOR_BYTES` or more is
+parsed on every allowed CPU: forked children parse one line-aligned byte
+range each and send their raw rows down a pipe into that one array, so the
+parent holds no second copy; a smaller file is parsed in process.
 The graph file holds one `s t` edge per line (0-based); the metadata
 sidecar holds `key=value` lines.
 """
@@ -14,13 +17,17 @@ sidecar holds `key=value` lines.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
+import os
 import warnings
 from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
 
+from . import fanout
 from .graph import SimilarityGraph
 
 
@@ -45,14 +52,15 @@ def write_data_csv(path, x_blocks, y_blocks) -> None:
 def read_data_csv(path):
     """Parse the observation CSV back into per-vertex (x, y) blocks.
 
-    Vertices must cover 0..T-1 with at least one row each, and every y and
-    x value must be finite; row order within a vertex follows file order.
-    After the header, the body streams from the open file into one float
-    array (`np.loadtxt`); a stable sort by vertex id, needed only when the
-    file is not grouped by vertex, puts the rows in block order, and the
-    blocks are contiguous views of that array. Any row that does not parse
-    cleanly sends the reader back over the file line by line to name the
-    first bad line.
+    Vertices must cover 0..T-1 with at least one row each, every y and x
+    value must be finite, and so must each column's sum of squares; row
+    order within a vertex follows file order. After the header, the body is
+    parsed into one float array (`np.loadtxt`, by forked children over byte
+    ranges of a large file); a stable sort by vertex id, needed only when
+    the file is not grouped by vertex, puts the rows in block order, and
+    the blocks are contiguous views of that array. Any row that does not
+    parse cleanly sends the reader back over the file line by line to name
+    the first bad line, so the errors do not depend on the split.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -69,15 +77,12 @@ def read_data_csv(path):
         want = [f"x{j}" for j in range(d)]
         if header[2:] != want:
             raise ValueError(f"{path}: feature columns must be x0..x{d - 1} in order")
-        try:
-            with warnings.catch_warnings():
-                # a header without rows is reported below, not warned about
-                warnings.simplefilter("ignore", UserWarning)
-                body = np.loadtxt(
-                    fh, delimiter=",", dtype=np.float64, ndmin=2, comments=None
-                )
-        except ValueError as exc:
-            _raise_first_bad_row(path, d, str(exc))
+        body = _parse_forked(path, fh)
+        if body is None:
+            try:
+                body = _parse_rows(fh)
+            except ValueError as exc:
+                _raise_first_bad_row(path, d, str(exc))
     if body.shape[0] == 0:
         raise ValueError(f"{path}: no data rows")
     vertex = body[:, 0]
@@ -87,6 +92,17 @@ def read_data_csv(path):
         _raise_first_bad_row(
             path, d,
             f"need {d + 2} fields, a nonnegative integer vertex id and finite numbers",
+        )
+    # every Gram and X'y entry is bounded by a column's sum of squares
+    # (Cauchy-Schwarz), so finite sums keep them all finite
+    with np.errstate(over="ignore"):
+        squares = np.einsum("ij,ij->j", body[:, 1:], body[:, 1:])
+    if not np.isfinite(squares).all():
+        col = 1 + int(np.argmin(np.isfinite(squares)))
+        row = int(np.argmax(np.abs(body[:, col])))
+        raise ValueError(
+            f"{path}:{_line_of_row(path, row)}: the squares of column {header[col]} "
+            f"sum past the float range (largest value {float(body[row, col])!r})"
         )
     t = int(vertex.max()) + 1
     present = np.unique(vertex)
@@ -110,6 +126,77 @@ def read_data_csv(path):
         x[start:start + step] = body[start:start + step, 2:]
     bounds = np.cumsum(np.bincount(ids))[:-1]
     return np.split(x, bounds), np.split(y, bounds)
+
+
+def _parse_rows(source) -> np.ndarray:
+    """The rows of a text source as one 2-D float array (`np.loadtxt`)."""
+    with warnings.catch_warnings():
+        # a header without rows is reported by the caller, not warned about
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(source, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+
+
+def _parse_forked(path: Path, fh) -> np.ndarray | None:
+    """The body of the open file `fh` parsed by forked children, one
+    line-aligned byte range each.
+
+    Returns None, for the caller to parse the body from `fh` itself, when
+    one process should do it, the header's line end is not a plain newline,
+    a child fails, or the children disagree on the column count: the serial
+    parse then gives the exact answer or error.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    count = fanout.worker_count(size)
+    if count < 2:
+        return None
+    with open(path, "rb") as raw:
+        first = raw.readline()
+        if not first.endswith(b"\n") or b"\r" in first[:-2]:
+            return None
+        cuts = [len(first)]
+        for k in range(1, count):
+            raw.seek(max(cuts[-1], len(first) + (size - len(first)) * k // count) - 1)
+            raw.readline()  # on to the next line start
+            cuts.append(raw.tell())
+        cuts.append(size)
+    ranges = [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+    if len(ranges) < 2:
+        return None
+
+    def work(i):
+        start, stop = ranges[i]
+        with open(path, "rb") as raw:
+            raw.seek(start)
+            chunk = io.BytesIO(raw.read(stop - start))
+        # decoded as the serial parse decodes the open file
+        rows = _parse_rows(io.TextIOWrapper(chunk, encoding=fh.encoding, newline=""))
+        return rows.shape, rows
+
+    def collect(shares):
+        shapes = [share.head() for share in shares]
+        widths = {cols for rows, cols in shapes if rows}
+        if len(widths) > 1:
+            raise ValueError("ranges disagree on the column count")
+        body = np.empty((sum(rows for rows, _ in shapes), widths.pop() if widths else 1))
+        at = 0
+        for share, (rows, _) in zip(shares, shapes):
+            share.readinto(body[at:at + rows])
+            at += rows
+        return body
+
+    try:
+        return fanout.fan_out(len(ranges), work, collect)
+    except (OSError, RuntimeError, ValueError):
+        return None
+
+
+def _line_of_row(path: Path, index: int) -> int:
+    """The line number of data row `index`, counted as `_raise_first_bad_row` counts."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        lines = (lineno for lineno, row in enumerate(reader, start=2) if row)
+        return next(itertools.islice(lines, index, None))
 
 
 def _raise_first_bad_row(path: Path, d: int, reason: str) -> NoReturn:

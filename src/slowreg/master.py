@@ -70,10 +70,6 @@ class Cut:
     def __init__(self, anchor: np.ndarray, value: float, gradient: np.ndarray):
         self.anchor, self.value, self.gradient = anchor, value, gradient
 
-    def evaluate(self, z: np.ndarray) -> float:
-        diff = z.astype(np.float64) - self.anchor.astype(np.float64)
-        return self.value + float(self.gradient @ diff)
-
 
 @dataclass(frozen=True)
 class SolveLimits:

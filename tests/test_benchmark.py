@@ -10,6 +10,7 @@ from slowreg import (
     SimilarityGraph,
     SparsityBudget,
     SynthParams,
+    WeightError,
     add_noise,
     build_quadform,
     check_feasible,
@@ -560,6 +561,68 @@ class TestGridSearchMatchesReference:
         assert calls[:-1] == [(lb, ld, False) for lb, ld in INTERLEAVED_GRID]
         assert calls[-1] == (res.lambda_beta, res.lambda_delta, True)
         assert greedy_lambdas == [4.0, 12.0, 1.5]
+
+
+def fit_outcome(res):
+    return (res.table, (res.lambda_beta, res.lambda_delta, res.holdout_r2),
+            res.fit.z.tobytes(), res.fit.beta.tobytes(), res.fit.cost,
+            res.fit.removal_iterations, res.fit.initial_union_size)
+
+
+class TestForkedGridSearch:
+    """lambda_beta groups scored in forked children give the serial answers."""
+
+    @pytest.mark.parametrize("kind", ["chain", "random"])
+    @pytest.mark.parametrize("grid", ["default", "interleaved"])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_same_table_best_pair_and_refit(self, allow_cpus, forks, kind, grid, cpus):
+        instance, budget = TestGridSearchMatchesReference.make(kind, 1)
+        pairs = None if grid == "default" else INTERLEAVED_GRID
+        allow_cpus(1)
+        serial = grid_search(instance, budget, grid=pairs, seed=2)
+        assert forks == []
+        allow_cpus(cpus)
+        forked = grid_search(instance, budget, grid=pairs, seed=2)
+        assert forks == [cpus - 1]  # the parent scores one share itself
+        assert fit_outcome(forked) == fit_outcome(serial)
+
+    def test_one_group_per_process_at_most(self, allow_cpus, forks):
+        instance, budget = TestGridSearchMatchesReference.make("chain", 0)
+        allow_cpus(8)
+        grid_search(instance, budget, grid=INTERLEAVED_GRID, seed=0)
+        assert forks == [2]  # three lambda_beta values
+
+    @pytest.mark.parametrize("failing", [{12.0}, {1.5, 12.0}, {4.0}])
+    def test_share_errors_are_the_serial_error(self, allow_cpus, monkeypatch, failing):
+        # with two processes the lambda_beta groups 4 and 1.5 are the
+        # parent's and 12 the child's; a serial run fails at the first pair
+        # of the grid whose lambda_beta fails
+        def failing_greedy(sub, budget):
+            if sub.lambda_beta in failing:
+                raise WeightError(f"lambda_beta={sub.lambda_beta:g} fails")
+            return greedy_start(sub, budget)
+
+        monkeypatch.setattr(bench, "greedy_start", failing_greedy)
+        instance, budget = TestGridSearchMatchesReference.make("chain", 0)
+        outcomes = []
+        for cpus in (1, 2):
+            allow_cpus(cpus)
+            with pytest.raises(WeightError) as info:
+                grid_search(instance, budget, grid=INTERLEAVED_GRID, seed=0)
+            outcomes.append(str(info.value))
+        first = next(lb for lb, _ in INTERLEAVED_GRID if lb in failing)
+        assert outcomes == [f"lambda_beta={first:g} fails"] * 2
+
+    def test_bad_weight_in_a_child_share_is_the_serial_error(self, allow_cpus):
+        instance, budget = TestGridSearchMatchesReference.make("chain", 0)
+        grid = [(4.0, 1.0), (-1.0, 1.0), (4.0, 2.0)]
+        messages = []
+        for cpus in (1, 2):
+            allow_cpus(cpus)
+            with pytest.raises(ValueError) as info:
+                grid_search(instance, budget, grid=grid, seed=0)
+            messages.append(str(info.value))
+        assert messages == ["lambda_beta must be strictly positive and finite"] * 2
 
 
 # answers of an earlier implementation that stored the dense (T, D, D) Gram

@@ -282,6 +282,29 @@ class TestExitCodes:
         assert main(argv) == 3
         assert f"train.csv:4: non-finite value '{value}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "gridsearch"])
+    def test_data_whose_squares_overflow_exits_3(self, tmp_path, capsys, command):
+        # finite values, but x2's squares sum past the float range, so the
+        # Gram would too
+        prefix = str(tmp_path / "ds")
+        assert main(["synth", "--n", "6", "--t", "3", "--d", "5", "--kl", "1", "--kc", "1",
+                     "--methods", "static", "--dump-data", prefix,
+                     "--output", str(tmp_path / "synth.json")]) == 0
+        path = Path(f"{prefix}_train.csv")
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[4] = "1e200"
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        argv = [command, "--data", str(path), "--chain", "--kl", "1", "--kg", "2",
+                "--kc", "1", "--output", str(tmp_path / "report.json")]
+        if command == "fit":
+            argv += ["--lambda-beta", "1", "--lambda-delta", "1"]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert ("ds_train.csv:4: the squares of column x2 sum past the float range "
+                "(largest value 1e+200)") in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag,value", [("--xi", "1e-300"), ("--sigma-v", "1e300")])
     def test_synthetic_response_past_float_range_exits_2(self, tmp_path, capsys,
                                                          flag, value):
@@ -388,6 +411,34 @@ class TestReports:
         assert report["solver"]["status"] == res.status == "optimal"
         assert report["support"] == res.incumbent_z.reshape(3, 5).astype(int).tolist()
         assert report["coefficients"] == res.incumbent_beta.reshape(3, 5).tolist()
+
+
+class TestFanOutReports:
+    """Reports do not depend on how many processes read the data and search the grid."""
+
+    @pytest.mark.parametrize("command", ["gridsearch", "fit", "synth"])
+    def test_forked_and_one_cpu_reports_are_identical(self, data_files, tmp_path,
+                                                      allow_cpus, forks, command):
+        data, graph = data_files
+        out = tmp_path / "report.json"
+        argv = {
+            "gridsearch": gridsearch_argv(data, graph) + ["--seed", "2"],
+            "fit": ["fit", "--data", data, "--graph", graph, "--grid",
+                    "--kl", "2", "--kg", "3", "--kc", "4", "--seed", "5"],
+            "synth": ["synth", "--n", "10", "--t", "3", "--d", "5", "--kl", "2",
+                      "--kc", "2", "--seed", "1", "--methods", "static,stepwise"],
+        }[command] + ["--omit-timings", "--output", str(out)]
+        reports = []
+        # a tuned fit also runs the exact solver, so it is read at 1 and 2 CPUs only
+        cpu_counts = (1, 2, 3) if command == "gridsearch" else (1, 2)
+        for cpus in cpu_counts:
+            allow_cpus(cpus)
+            assert main(argv) == 0
+            reports.append(out.read_bytes())
+            out.unlink()
+        assert reports[1:] == reports[:1] * (len(reports) - 1)
+        # the reader forks one child per CPU, the grid one fewer
+        assert forks == {"gridsearch": [2, 1, 3, 2], "fit": [2, 1], "synth": [1]}[command]
 
 
 def report_config(argv, tmp_path):

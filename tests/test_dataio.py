@@ -199,6 +199,133 @@ class TestDataCsv:
             read_data_csv(path)
 
 
+    @pytest.mark.parametrize("cell,column", [((3, 4), "x2"), ((5, 1), "y")])
+    def test_sum_of_squares_past_float_range_names_the_column(self, tmp_path, cell,
+                                                              column):
+        # each value is finite, but its square is not, so no Gram entry is
+        rng = np.random.default_rng(53)
+        xs = [rng.standard_normal((3, 4)) for _ in range(2)]
+        ys = [rng.standard_normal(3) for _ in range(2)]
+        path = tmp_path / "big.csv"
+        write_data_csv(path, xs, ys)
+        lines = path.read_text().splitlines()
+        line, field = cell
+        cells = lines[line - 1].split(",")
+        cells[field] = "-3e160"
+        lines[line - 1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"big.csv:{line}: the squares of column "
+                                             rf"{column} sum past the float range "
+                                             r"\(largest value -3e\+160\)"):
+            read_data_csv(path)
+
+    def test_large_finite_values_still_read(self, tmp_path):
+        path = tmp_path / "scale.csv"
+        path.write_text("vertex,y,x0\n0,1e150,-1e150\n0,2.0,1e-300\n")
+        xs, ys = read_data_csv(path)
+        assert ys[0].tolist() == [1e150, 2.0]
+        assert xs[0].tolist() == [[-1e150], [1e-300]]
+
+
+def read_outcome(path):
+    """The arrays read from a file as bytes, or the error's type and message."""
+    try:
+        xs, ys = read_data_csv(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [(x.shape, x.tobytes()) for x in xs], [y.tobytes() for y in ys]
+
+
+def body_rows(seed, rows=60, d=3, vertices=5, grouped=True):
+    """Data rows as CSV text lines, vertex ids grouped or shuffled."""
+    rng = np.random.default_rng(seed)
+    vertex = np.sort(rng.integers(0, vertices, rows))
+    vertex[:vertices] = np.arange(vertices)
+    if not grouped:
+        vertex = rng.permutation(vertex)
+    values = rng.standard_normal((rows, d + 1))
+    return [",".join([str(v)] + [repr(float(c)) for c in row])
+            for v, row in zip(vertex, values)]
+
+
+HEADER = "vertex,y,x0,x1,x2"
+
+
+def with_cell(lines, index, field, value):
+    cells = lines[index].split(",")
+    cells[field] = value
+    return lines[:index] + [",".join(cells)] + lines[index + 1:]
+
+
+SPLIT_CASES = {
+    "lf": lambda: "\n".join([HEADER] + body_rows(1)) + "\n",
+    "crlf": lambda: "\r\n".join([HEADER] + body_rows(2)) + "\r\n",
+    "no_trailing_newline": lambda: "\n".join([HEADER] + body_rows(3)),
+    "blank_lines": lambda: "\n".join(
+        [HEADER, ""] + sum(([row, ""] if i % 7 == 0 else [row]
+                            for i, row in enumerate(body_rows(4))), []) + ["", ""]),
+    "crlf_blank_lines": lambda: "\r\n".join(
+        [HEADER] + sum(([row, "", ""] if i % 5 == 0 else [row]
+                        for i, row in enumerate(body_rows(5))), [])),
+    "ungrouped": lambda: "\n".join([HEADER] + body_rows(6, grouped=False)) + "\n",
+    "header_only": lambda: HEADER + "\n",
+    "header_and_blank_lines": lambda: HEADER + "\n\n\n\n",
+    "bad_word_late": lambda: "\n".join([HEADER] + with_cell(body_rows(7), 52, 3, "one")),
+    "nan_middle": lambda: "\n".join([HEADER] + with_cell(body_rows(8), 30, 2, "nan")),
+    "nan_and_word": lambda: "\n".join(
+        [HEADER] + with_cell(with_cell(body_rows(9), 55, 1, "x"), 25, 4, "inf")),
+    "short_row_late": lambda: "\n".join(
+        [HEADER] + body_rows(10)[:50] + ["0,1.0,2.0"] + body_rows(10)[50:]),
+    "wide_rows_late": lambda: "\n".join(
+        [HEADER] + body_rows(11)[:40] + [r + ",9.0" for r in body_rows(11)[40:]]),
+    "negative_vertex_late": lambda: "\n".join(
+        [HEADER] + with_cell(body_rows(12), 58, 0, "-1")),
+    "squares_overflow_late": lambda: "\n".join(
+        [HEADER] + with_cell(body_rows(13), 45, 3, "2e200")),
+    "lone_cr_header": lambda: HEADER + "\r" + "\n".join(body_rows(14)) + "\n",
+}
+
+
+class TestSplitReader:
+    """Forked byte-range parsing gives the serial reader's arrays and errors."""
+
+    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_same_arrays_and_messages_as_serial(self, tmp_path, allow_cpus, forks,
+                                                case, cpus):
+        path = tmp_path / "split.csv"
+        path.write_bytes(SPLIT_CASES[case]().encode())
+        allow_cpus(1)
+        serial = read_outcome(path)
+        allow_cpus(cpus)
+        assert read_outcome(path) == serial
+        # no body bytes to split, or a header line that ends in a lone CR
+        assert forks == ([] if case in ("header_only", "lone_cr_header") else [cpus])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_layouts_match_serial(self, tmp_path, allow_cpus, seed):
+        rng = np.random.default_rng(900 + seed)
+        rows = body_rows(seed, rows=int(rng.integers(5, 80)), grouped=seed % 2 == 0)
+        lines = [HEADER]
+        for row in rows:
+            lines += [""] * int(rng.integers(0, 3) == 0) + [row]
+        eol = ["\n", "\r\n"][seed % 2]
+        path = tmp_path / "layout.csv"
+        path.write_bytes((eol.join(lines) + eol * int(rng.integers(0, 3))).encode())
+        allow_cpus(1)
+        serial = read_outcome(path)
+        allow_cpus(int(rng.integers(2, 5)))
+        assert read_outcome(path) == serial
+
+    def test_dumped_dataset_reads_identically(self, tmp_path, allow_cpus):
+        ds = make_synthetic_dataset(SynthParams(n=20, t=6, d=9, k_l=2, k_c=2, seed=4))
+        paths = dump_dataset(tmp_path / "ds", ds)
+        allow_cpus(2)
+        xs, ys = read_data_csv(paths["train"])
+        for a, b in zip(ds.instance.x_blocks + ds.instance.y_blocks, xs + ys):
+            assert np.ascontiguousarray(a).tobytes() == b.tobytes()
+
+
 class TestEdgeList:
     def test_round_trip(self, tmp_path):
         graph = SimilarityGraph(5, ((0, 1), (1, 4), (2, 3)))

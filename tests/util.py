@@ -113,6 +113,12 @@ def restricted_cost_reference(instance, z):
     return -0.5 * float(mu @ w)
 
 
+def cut_value_reference(cut, z):
+    """A cut's value at z: value + gradient'(z - anchor)."""
+    diff = np.asarray(z, dtype=np.float64) - cut.anchor.astype(np.float64)
+    return cut.value + float(cut.gradient @ diff)
+
+
 def budget_patterns(T, D, k_l, k_g, k_c, edges):
     """Every T*D bit pattern that can meet the budgets, in the order of
     itertools.product((0, 1), repeat=T*D).
