@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.array_utils import byte_bounds
 
 from . import fanout
 from .graph import SimilarityGraph
+from .highs import HIGHS_INFINITY
 from .master import SolveLimits, SolveResult, solve_support_selection
 from .problem import (
     ProblemInstance,
@@ -352,6 +355,9 @@ def make_synthetic_dataset(params: SynthParams) -> SynthDataset:
     The generator stages run in a fixed order on one RNG stream (graph and
     coefficients, then the training design and its noise, then the test
     design and its noise), so every array is reproducible from the seed.
+    Raises ValueError, naming sigma_v and xi, when the response's sum of
+    squares is not finite, or when its X'y puts the exact solver's root
+    bound at the tuning grid's weakest lambda_beta past `HIGHS_INFINITY`.
     """
     rng = np.random.default_rng(params.seed)
     if params.mode == "temporal":
@@ -368,15 +374,26 @@ def make_synthetic_dataset(params: SynthParams) -> SynthDataset:
     x_test = gen_x(params, rng)
     signal_test = np.einsum("nvd,vd->nv", x_test, beta_mat)
     y_test = add_noise(signal_test, params.xi, rng)
-    with np.errstate(over="ignore"):
+    anchor = float(params.n)
+    weakest = min(lambda_beta_grid(anchor))
+    with np.errstate(over="ignore", invalid="ignore"):
         squares = float(np.vdot(y_train, y_train)) + float(np.vdot(y_test, y_test))
+        # minus the exact solver's root bound at the grid's weakest lambda_beta
+        mu = np.einsum("nvd,nv->vd", x_train, y_train)
+        root = 0.5 * float(np.vdot(mu, mu)) / weakest
     if not math.isfinite(squares):
         raise ValueError(
             f"sigma_v={params.sigma_v:g} and xi={params.xi:g} give a response "
             "whose sum of squares is not finite"
         )
+    if not root < HIGHS_INFINITY:
+        raise ValueError(
+            f"sigma_v={params.sigma_v:g} and xi={params.xi:g} give a response "
+            f"whose X'y puts the root bound -mu'mu / (2 lambda_beta) at -{root:.3g} "
+            f"for the tuning grid's lambda_beta={weakest:g}, which the LP solver "
+            "reads as unbounded"
+        )
 
-    anchor = float(params.n)
     instance = ProblemInstance(
         graph=graph,
         x_blocks=tuple(x_train[:, v, :] for v in range(params.t)),
@@ -511,23 +528,71 @@ def _holdout_rows(
     return out
 
 
-def _holdout_split(
-    instance: ProblemInstance, fraction: float, seed: int
-) -> tuple[ProblemInstance, list[tuple[np.ndarray, np.ndarray]]]:
-    """The training rows as an instance (same weights) and the held-out blocks."""
+@contextmanager
+def _holdout_views(instance: ProblemInstance, fraction: float, seed: int):
+    """The training rows as an instance (same weights) and the held-out blocks.
+
+    Each vertex's rows are reordered in place as a stable partition,
+    training rows first, then held-out rows, each group in its original
+    order, so the training and held-out blocks are the views `x[:k]` and
+    `x[k:]`: the same numbers in the same order as gathered copies, without
+    a second copy of the data. The original order is written back on exit,
+    also when the body or the reorder itself raises. Blocks that are
+    read-only, or that share elements with another block (one reorder would
+    move the other's rows too), are gathered into copies instead.
+    """
     splits = _holdout_rows(instance.row_counts, fraction, seed)
+    blocks = instance.x_blocks + instance.y_blocks
+    if not (all(a.flags.writeable for a in blocks) and _disjoint(blocks)):
+        yield _split(instance, splits)
+        return
+    orders = [np.concatenate(pair) for pair in splits] * 2
+    moved = 0
+    try:
+        for a, order in zip(blocks, orders):
+            # the gather may raise, the store does not, and no signal is
+            # handled between the store and the count
+            a[...] = a[order]
+            moved += 1
+        yield _split(instance, [(slice(tr.size), slice(tr.size, None)) for tr, _ in splits])
+    finally:
+        for a, order in zip(blocks[:moved], orders):
+            a[order] = a.copy()
+
+
+def _split(instance: ProblemInstance, rows) -> tuple[ProblemInstance, list]:
+    """The training instance and held-out blocks at per-vertex (train, hold) `rows`."""
     train = ProblemInstance(
         graph=instance.graph,
-        x_blocks=tuple(x[tr] for x, (tr, _) in zip(instance.x_blocks, splits)),
-        y_blocks=tuple(y[tr] for y, (tr, _) in zip(instance.y_blocks, splits)),
+        x_blocks=tuple(x[tr] for x, (tr, _) in zip(instance.x_blocks, rows)),
+        y_blocks=tuple(y[tr] for y, (tr, _) in zip(instance.y_blocks, rows)),
         lambda_beta=instance.lambda_beta,
         lambda_delta=instance.lambda_delta,
     )
     hold_blocks = [
         (x[hold], y[hold])
-        for x, y, (_, hold) in zip(instance.x_blocks, instance.y_blocks, splits)
+        for x, y, (_, hold) in zip(instance.x_blocks, instance.y_blocks, rows)
     ]
     return train, hold_blocks
+
+
+def _disjoint(arrays) -> bool:
+    """Whether no two of `arrays` share an element.
+
+    Only pairs whose byte bounds overlap are solved exactly
+    (`np.shares_memory`); a pair too hard to decide counts as shared.
+    """
+    spans = sorted((byte_bounds(a), i) for i, a in enumerate(arrays))
+    for k, ((_, high), i) in enumerate(spans):
+        for (low, _), j in spans[k + 1:]:
+            if low >= high:
+                break
+            try:
+                if np.shares_memory(arrays[i], arrays[j]):
+                    return False
+            except np.exceptions.TooHardError:
+                return False
+    return True
 
 
 def _pooled_r2(
@@ -566,6 +631,14 @@ def grid_search(
     grid order on ties) is refit on the full training data; that refit, the
     per-config table, and the reweighted full instance are all returned.
 
+    The search holds one copy of the data: during the scoring each vertex's
+    rows are reordered in place, training rows first, so that the split is
+    a set of views of the instance's own blocks, and the original order is
+    written back before the refit, also when a fit raises. The blocks are
+    therefore written to while the search runs; do not share the instance
+    with another thread meanwhile. Read-only blocks, or blocks that share
+    elements (one array given for two vertices), are split into copies.
+
     The pairs share what does not depend on their weights. The training
     quadform (mu and const_term, O(sum_t n_t * D)) is built once; each pair
     gets a copy that differs only in its two weights, and reads the shared
@@ -585,15 +658,15 @@ def grid_search(
         grid = default_grid(anchor)
     if not grid:
         raise ValueError("the tuning grid is empty")
-    train, hold_blocks = _holdout_split(instance, holdout_fraction, seed)
-    qf = build_quadform(train)
+    with _holdout_views(instance, holdout_fraction, seed) as (train, hold_blocks):
+        qf = build_quadform(train)
 
-    def scores(indices):
-        return _holdout_scores(indices, train, qf, hold_blocks, budget, grid, seed)
+        def scores(indices):
+            return _holdout_scores(indices, train, qf, hold_blocks, budget, grid, seed)
 
-    r2s = _forked_scores(grid, sum(x.nbytes for x in instance.x_blocks), scores)
-    if r2s is None:
-        r2s = scores(range(len(grid)))
+        r2s = _forked_scores(grid, sum(x.nbytes for x in instance.x_blocks), scores)
+        if r2s is None:
+            r2s = scores(range(len(grid)))
 
     best = None
     table = []
@@ -619,9 +692,11 @@ def _holdout_scores(indices, train, qf, hold_blocks, budget, grid, seed) -> list
     """Holdout R^2 of the stepwise fit at each grid pair in `indices`, in that order.
 
     The greedy start of each lambda_beta is made at its first pair and kept
-    for the later ones.
+    until its last one, so a grid that lists each lambda_beta's pairs
+    together (the default grid) holds one start at a time.
     """
     t, d = train.vertex_count, train.feature_count
+    last = {grid[i][0]: i for i in indices}
     starts = {}
     out = []
     for i in indices:
@@ -629,9 +704,10 @@ def _holdout_scores(indices, train, qf, hold_blocks, budget, grid, seed) -> list
         sub = train.with_weights(lb, ld)
         if lb not in starts:
             starts[lb] = greedy_start(sub, budget)
+        start = starts.pop(lb) if last[lb] == i else starts[lb]
         res = stepwise_fit(
             sub, budget, seed=seed,
-            qf=replace(qf, lambda_beta=lb, lambda_delta=ld), start=starts[lb],
+            qf=replace(qf, lambda_beta=lb, lambda_delta=ld), start=start,
         )
         out.append(_pooled_r2(res.beta.reshape(t, d), hold_blocks))
     return out
@@ -675,16 +751,17 @@ def tune_static(instance: ProblemInstance, k: int, seed: int = 0) -> tuple[float
     """Ridge weight for the static baseline by the same holdout protocol.
 
     The candidates are `lambda_beta_grid` at the mean row count, scored on a
-    0.3 holdout split.
+    0.3 holdout split, which reorders each vertex's rows in place and
+    restores them as `grid_search` does.
     """
-    train, hold_blocks = _holdout_split(instance, 0.3, seed)
     t, d = instance.vertex_count, instance.feature_count
     best = None
-    for lb in lambda_beta_grid(float(np.mean(instance.row_counts))):
-        beta, _ = fit_static(train, k, lb)
-        r2 = _pooled_r2(beta.reshape(t, d), hold_blocks)
-        if best is None or r2 > best[0]:
-            best = (r2, lb)
+    with _holdout_views(instance, 0.3, seed) as (train, hold_blocks):
+        for lb in lambda_beta_grid(float(np.mean(instance.row_counts))):
+            beta, _ = fit_static(train, k, lb)
+            r2 = _pooled_r2(beta.reshape(t, d), hold_blocks)
+            if best is None or r2 > best[0]:
+                best = (r2, lb)
     return best[1], best[0]
 
 

@@ -9,7 +9,9 @@ carved out of that array in place, so reading a file costs about one copy
 of its numbers in memory. A file of `fanout.FORK_FLOOR_BYTES` or more is
 parsed on every allowed CPU: forked children parse one line-aligned byte
 range each and send their raw rows down a pipe into that one array, so the
-parent holds no second copy; a smaller file is parsed in process.
+parent holds no second copy; the array lies on an anonymous mapping of its
+own, which is unmapped when the blocks are freed. A smaller file is parsed
+in process.
 The graph file holds one `s t` edge per line (0-based); the metadata
 sidecar holds `key=value` lines.
 """
@@ -20,6 +22,7 @@ import csv
 import io
 import itertools
 import math
+import mmap
 import os
 import warnings
 from pathlib import Path
@@ -177,7 +180,7 @@ def _parse_forked(path: Path, fh) -> np.ndarray | None:
         widths = {cols for rows, cols in shapes if rows}
         if len(widths) > 1:
             raise ValueError("ranges disagree on the column count")
-        body = np.empty((sum(rows for rows, _ in shapes), widths.pop() if widths else 1))
+        body = _mapped_empty((sum(rows for rows, _ in shapes), widths.pop() if widths else 1))
         at = 0
         for share, (rows, _) in zip(shares, shapes):
             share.readinto(body[at:at + rows])
@@ -188,6 +191,20 @@ def _parse_forked(path: Path, fh) -> np.ndarray | None:
         return fanout.fan_out(len(ranges), work, collect)
     except (OSError, RuntimeError, ValueError):
         return None
+
+
+def _mapped_empty(shape: tuple[int, int]) -> np.ndarray:
+    """An uninitialised float64 array on a private anonymous mapping of its own.
+
+    Freeing the array unmaps it. A malloc'd array of this size may stay
+    resident after it is freed: once glibc has freed one mapped block it
+    serves blocks up to that size from its heap, and keeps a freed heap top
+    under twice that size, so a process that reads same-sized files in turn
+    (a benchmark, a service) would hold a parsed file's bytes between reads.
+    """
+    count = shape[0] * shape[1]
+    buf = mmap.mmap(-1, max(1, count * 8), flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype=np.float64, count=count).reshape(shape)
 
 
 def _line_of_row(path: Path, index: int) -> int:

@@ -1,6 +1,8 @@
 """Generator audits, metric formulas, and tuning behavior."""
 
 import json
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -625,6 +627,201 @@ class TestForkedGridSearch:
         assert messages == ["lambda_beta must be strictly positive and finite"] * 2
 
 
+def block_bytes(instance):
+    return [a.tobytes() for a in instance.x_blocks + instance.y_blocks]
+
+
+class TestHoldoutInPlace:
+    """The holdout split reorders the caller's blocks in place and restores them."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_fits_read_the_callers_blocks_which_come_back_unchanged(
+        self, allow_cpus, monkeypatch, cpus
+    ):
+        instance, budget = TestGridSearchMatchesReference.make("chain", 0)
+        before = block_bytes(instance)
+        copied, _ = TestGridSearchMatchesReference.make("chain", 0)
+        reference = grid_search(self.read_only(copied), budget, seed=1)
+        shared = []
+
+        def spy_fit(sub, budget, seed=0, qf=None, start=None):
+            shared.append(all(
+                np.shares_memory(a, b) for a, b in zip(sub.x_blocks, instance.x_blocks)
+            ))
+            return stepwise_fit(sub, budget, seed=seed, qf=qf, start=start)
+
+        monkeypatch.setattr(bench, "stepwise_fit", spy_fit)
+        allow_cpus(cpus)
+        res = grid_search(instance, budget, seed=1)
+        # the parent's share and the refit ran here; both read the caller's memory
+        assert shared and all(shared)
+        assert block_bytes(instance) == before
+        assert fit_outcome(res) == fit_outcome(reference)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("failing", [4.0, 12.0])  # the parent's group, the child's
+    def test_blocks_restored_when_a_share_raises(self, allow_cpus, monkeypatch, cpus, failing):
+        def failing_greedy(sub, budget):
+            if sub.lambda_beta == failing:
+                raise WeightError("fails")
+            return greedy_start(sub, budget)
+
+        monkeypatch.setattr(bench, "greedy_start", failing_greedy)
+        instance, budget = TestGridSearchMatchesReference.make("random", 1)
+        before = block_bytes(instance)
+        allow_cpus(cpus)
+        with pytest.raises(WeightError):
+            grid_search(instance, budget, grid=INTERLEAVED_GRID, seed=0)
+        assert block_bytes(instance) == before
+
+    @pytest.mark.parametrize("calls", [0, 3, 7])
+    def test_blocks_restored_when_a_fit_raises_partway(self, monkeypatch, calls):
+        count = []
+
+        def failing_fit(sub, budget, seed=0, qf=None, start=None):
+            if len(count) == calls:
+                raise RuntimeError("stop")
+            count.append(1)
+            return stepwise_fit(sub, budget, seed=seed, qf=qf, start=start)
+
+        monkeypatch.setattr(bench, "stepwise_fit", failing_fit)
+        instance, budget = TestGridSearchMatchesReference.make("chain", 1)
+        before = block_bytes(instance)
+        with pytest.raises(RuntimeError, match="stop"):
+            grid_search(instance, budget, seed=0)
+        assert block_bytes(instance) == before
+
+    @pytest.mark.parametrize("vertex", [0, 4])
+    def test_blocks_restored_when_the_reorder_itself_fails(self, monkeypatch, vertex):
+        # a row index past the block makes the reorder of X block `vertex`
+        # raise after the blocks before it were moved
+        holdout_rows = bench._holdout_rows
+
+        def broken_rows(row_counts, fraction, seed):
+            rows = holdout_rows(row_counts, fraction, seed)
+            train, hold = rows[vertex]
+            rows[vertex] = (train, hold + row_counts[vertex])
+            return rows
+
+        monkeypatch.setattr(bench, "_holdout_rows", broken_rows)
+        instance, budget = TestGridSearchMatchesReference.make("chain", 0)
+        before = block_bytes(instance)
+        for search in (lambda: grid_search(instance, budget, seed=0),
+                       lambda: bench.tune_static(instance, 3, seed=0)):
+            with pytest.raises(IndexError):
+                search()
+            assert block_bytes(instance) == before
+
+    @staticmethod
+    def shared_block(instance):
+        """The instance with vertex 1 given vertex 0's arrays."""
+        xs, ys = list(instance.x_blocks), list(instance.y_blocks)
+        xs[1], ys[1] = xs[0], ys[0]
+        return ProblemInstance(instance.graph, tuple(xs), tuple(ys),
+                               instance.lambda_beta, instance.lambda_delta)
+
+    @staticmethod
+    def read_only(instance):
+        for a in instance.x_blocks + instance.y_blocks:
+            a.setflags(write=False)
+        return instance
+
+    @staticmethod
+    def strided(instance):
+        """The instance's blocks as views of one (n, T, D) array, as `synth` makes them."""
+        x = np.stack(instance.x_blocks, axis=1)
+        y = np.stack(instance.y_blocks, axis=1)
+        t = instance.vertex_count
+        return ProblemInstance(instance.graph, tuple(x[:, v, :] for v in range(t)),
+                               tuple(y[:, v] for v in range(t)),
+                               instance.lambda_beta, instance.lambda_delta)
+
+    @pytest.mark.parametrize("layout", ["read_only", "shared_block", "strided"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_copied_and_strided_blocks_give_the_reference(self, allow_cpus, layout, cpus):
+        base, budget = TestGridSearchMatchesReference.make("random", 0)
+        instance = getattr(self, layout)(base)
+        before = block_bytes(instance)
+        table, best, (z, beta, cost, iterations) = grid_search_reference(
+            instance, budget, seed=0
+        )
+        allow_cpus(cpus)
+        res = grid_search(instance, budget, seed=0)
+        assert res.table == table
+        assert (res.lambda_beta, res.lambda_delta, res.holdout_r2) == best
+        assert res.fit.z.tobytes() == z.tobytes()
+        assert res.fit.beta.tobytes() == beta.tobytes()
+        assert (res.fit.cost, res.fit.removal_iterations) == (cost, iterations)
+        assert block_bytes(instance) == before
+
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_tune_static_matches_the_copying_split(self, strided):
+        def make():
+            instance, _ = TestGridSearchMatchesReference.make("chain", 1)
+            return self.strided(instance) if strided else instance
+
+        instance = make()
+        before = block_bytes(instance)
+        copied = bench.tune_static(self.read_only(make()), 3, seed=4)
+        assert bench.tune_static(instance, 3, seed=4) == copied
+        assert block_bytes(instance) == before
+
+    def test_disjoint(self, monkeypatch):
+        x = np.zeros((6, 8))
+        assert bench._disjoint((x[:, ::2], x[:, 1::2], np.zeros(3)))
+        assert bench._disjoint((x[:3], x[3:]))
+        assert not bench._disjoint((x[:, :3], x[:, 2:]))
+        assert not bench._disjoint((x, x))
+
+        def too_hard(a, b):
+            raise np.exceptions.TooHardError("too hard")
+
+        monkeypatch.setattr(np, "shares_memory", too_hard)
+        assert not bench._disjoint((x[:, ::2], x[:, 1::2]))
+        assert bench._disjoint((x[:3], x[3:]))  # bounds apart: never asked
+
+    def test_one_greedy_start_held_at_a_time(self, monkeypatch):
+        instance, budget = TestGridSearchMatchesReference.make("chain", 0)
+        made = []
+        live = []
+
+        def spy_greedy(sub, budget):
+            start = greedy_start(sub, budget)
+            made.append(weakref.ref(start))
+            return start
+
+        def spy_fit(sub, budget, seed=0, qf=None, start=None):
+            live.append(sum(ref() is not None for ref in made))
+            return stepwise_fit(sub, budget, seed=seed, qf=qf, start=start)
+
+        monkeypatch.setattr(bench, "greedy_start", spy_greedy)
+        monkeypatch.setattr(bench, "stepwise_fit", spy_fit)
+        grid_search(instance, budget, seed=0)
+        assert len(made) == 7
+        assert live == [1] * 21 + [0]  # the refit makes its own start
+
+    def test_serial_search_traces_under_half_the_datas_bytes(self, allow_cpus):
+        rng = np.random.default_rng(18)
+        t, d, n = 12, 40, 200
+        instance = ProblemInstance(
+            SimilarityGraph.chain(t),
+            tuple(rng.standard_normal((n, d)) for _ in range(t)),
+            tuple(rng.standard_normal(n) for _ in range(t)),
+            1.0, 1.0,
+        )
+        budget = SparsityBudget(max_per_vertex=3, max_global=5, max_changes=4)
+        data = sum(a.nbytes for a in instance.x_blocks + instance.y_blocks)
+        allow_cpus(1)
+        grid_search(instance, budget, seed=0)  # first-call allocations
+        tracemalloc.start()
+        try:
+            grid_search(instance, budget, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * data
+
+
 # answers of an earlier implementation that stored the dense (T, D, D) Gram
 # blocks: the support of the final refit and every table R^2, per graph
 PINNED_GRID_SEARCH = {
@@ -723,6 +920,17 @@ class TestDatasetAssembly:
     def test_response_past_float_range_is_refused(self, field, value):
         params = temporal_params(n=4, t=3, d=3, k_l=1, **{field: value})
         with pytest.raises(ValueError, match=r"sigma_v=.* and xi=.* give a response"):
+            make_synthetic_dataset(params)
+
+
+    def test_response_past_the_lp_range_is_refused_naming_xi(self):
+        # y'y is finite, but 0.5 mu'mu / lambda_beta at the grid's weakest
+        # lambda_beta (n * 3**-6) passes HiGHS's infinite bound
+        params = temporal_params(n=4, t=3, d=3, k_l=1, k_c=1, xi=1e-150)
+        with pytest.raises(ValueError, match=(
+            r"sigma_v=0.1 and xi=1e-150 give a response whose X'y puts the root "
+            r"bound .* for the tuning grid's lambda_beta=0.00548697"
+        )):
             make_synthetic_dataset(params)
 
 

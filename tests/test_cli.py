@@ -314,6 +314,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "synth: sigma_v=" in err and "give a response whose sum of squares" in err
 
+    @pytest.mark.parametrize("methods", [[], ["--methods", "static"]])
+    def test_synthetic_response_past_the_lp_range_exits_2_naming_xi(
+        self, tmp_path, capsys, methods
+    ):
+        argv = ["synth", "--n", "4", "--t", "3", "--d", "3", "--kl", "1", "--kc", "1",
+                "--xi", "1e-150", "--output", str(tmp_path / "synth.json"), *methods]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "synth: sigma_v=0 and xi=1e-150 give a response whose X'y" in err
+        assert "numerically unsolvable weights" not in err
+
     def test_large_chain_fit_needs_no_dense_master(self, tmp_path):
         # T=100, D=200 chain: a dense master array would take 17.8 GiB, which
         # the sparse master does not allocate; two rows per vertex are enough

@@ -1,5 +1,7 @@
 """Round-trip fidelity of the file formats."""
 
+import mmap
+
 import numpy as np
 import pytest
 
@@ -316,6 +318,26 @@ class TestSplitReader:
         serial = read_outcome(path)
         allow_cpus(int(rng.integers(2, 5)))
         assert read_outcome(path) == serial
+
+    def test_forked_blocks_are_writeable_views_of_one_private_mapping(
+        self, tmp_path, allow_cpus
+    ):
+        # a mapping of its own is unmapped when the blocks go, and tuning
+        # reorders writeable blocks in place instead of copying them
+        inst = make_instance(T=4, D=3, N=6, seed=2)
+        path = tmp_path / "grouped.csv"
+        write_data_csv(path, inst.x_blocks, inst.y_blocks)
+        allow_cpus(2)
+        xs, _ = read_data_csv(path)
+
+        def owner(a):
+            while isinstance(a, np.ndarray):
+                a = a.base
+            return a.obj if isinstance(a, memoryview) else a
+
+        assert all(x.flags.writeable for x in xs)
+        assert len({id(owner(x)) for x in xs}) == 1
+        assert isinstance(owner(xs[0]), mmap.mmap)
 
     def test_dumped_dataset_reads_identically(self, tmp_path, allow_cpus):
         ds = make_synthetic_dataset(SynthParams(n=20, t=6, d=9, k_l=2, k_c=2, seed=4))
