@@ -151,10 +151,9 @@ def _build_parser():
     budgets(p_fit)
     p_fit.add_argument("--lambda-beta", type=finite_float,
                        help="ridge weight (with --lambda-delta)")
-    p_fit.add_argument("--lambda-delta", type=finite_float, help="smoothness weight")
-    p_fit.add_argument("--grid", action="store_true",
-                       help="tune both weights by holdout grid search (default "
-                            "when no explicit weights are given)")
+    p_fit.add_argument("--lambda-delta", type=finite_float,
+                       help="smoothness weight; without both weights, fit tunes "
+                            "them by holdout grid search")
     common(p_fit)
 
     p_synth = sub.add_parser("synth", help="generate and benchmark a synthetic dataset")
@@ -275,9 +274,6 @@ def parse_config(argv=None) -> argparse.Namespace:
     if ns.command == "fit":
         has_lb = ns.lambda_beta is not None
         has_ld = ns.lambda_delta is not None
-        if ns.grid and (has_lb or has_ld):
-            raise UsageError("fit: --grid conflicts with explicit --lambda-beta/"
-                             "--lambda-delta")
         if has_lb != has_ld:
             raise UsageError("fit: give both --lambda-beta and --lambda-delta, "
                              "or neither")

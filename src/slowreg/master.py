@@ -3,14 +3,16 @@
 The binary program min c(z) over budget-feasible supports is solved through
 its epigraph: a master LP over [eta, z, s, w] where s are global-support
 indicators, w are per-edge change indicators, and eta underestimates the
-convex support-cost function via an accumulating pool of gradient cuts.
-Cuts are supporting hyperplanes of c, hence valid in every node, so a single
-tree shares one pool. The pool keeps one `Cut` per anchor, keyed by the
-anchor's bytes; that record also holds the anchor's exact cost, so an
-integral point that is already an anchor closes its node without another
-oracle call. A warm start contributes the first cut. A node whose LP
-relaxation turns integral either adds a violated cut and re-solves in place
-or certifies an incumbent and closes.
+convex support-cost function via an accumulating pool of cuts. A cut is the
+oracle's dual cut eta >= intercept + gradient'z at the solution v0 of a
+binary anchor: valid on the whole box, so one pool serves every node, and
+tight at its anchor, whose bytes are the pool's dedupe key.
+
+An evaluated support meets the incumbent in one place. A new integral LP
+point is evaluated once and competes for the incumbent at once; if its cost
+lies above eta its cut is added and the node re-solves in place, otherwise
+the node closes. A point that is already an anchor closes its node, since
+its own cut holds eta at its cost. The warm start takes the same steps.
 
 A node is a heap entry (bound, seq, fixed, basis): its parent's LP value, a
 tie-breaking counter, one int8 per z column (-1 free, 0 or 1) and its
@@ -59,16 +61,17 @@ _INT_TOL = 1e-6
 
 
 class Cut:
-    """Supporting hyperplane of the support-cost function at a binary anchor.
+    """One row of the pool: eta >= intercept + gradient'z.
 
-    Every feasible binary z satisfies cost(z) >= value + gradient'(z - anchor),
-    so the cut is valid in every node of the tree.
+    Every z in the box satisfies cost(z) >= intercept + gradient'z, so the
+    cut is valid in every node of the tree. `anchor` is the binary support
+    whose evaluation gave it, kept as the pool's dedupe key.
     """
 
-    __slots__ = ("anchor", "value", "gradient")
+    __slots__ = ("anchor", "intercept", "gradient")
 
-    def __init__(self, anchor: np.ndarray, value: float, gradient: np.ndarray):
-        self.anchor, self.value, self.gradient = anchor, value, gradient
+    def __init__(self, anchor: np.ndarray, intercept: float, gradient: np.ndarray):
+        self.anchor, self.intercept, self.gradient = anchor, intercept, gradient
 
 
 @dataclass(frozen=True)
@@ -171,8 +174,8 @@ class MasterProgram:
         assert rhs.size == self.base_rows
         return starts, cols, vals, rhs
 
-    def add_cut(self, anchor: np.ndarray, cost: float, gradient: np.ndarray) -> bool:
-        """Append eta >= cost + gradient'(z - anchor), row-scaled to O(1)."""
+    def add_cut(self, anchor: np.ndarray, intercept: float, gradient: np.ndarray) -> bool:
+        """Append eta >= intercept + gradient'z, row-scaled to O(1)."""
         key = anchor.tobytes()
         if key in self.cuts:
             return False
@@ -183,11 +186,9 @@ class MasterProgram:
             np.zeros(1, dtype=np.int32),
             np.concatenate([[0], self.z0 + nonzero]).astype(np.int32),
             np.concatenate([[-1.0], gradient[nonzero]]) / sigma,
-            np.array([float(gradient @ anchor.astype(np.float64)) - cost]) / sigma,
+            np.array([-intercept]) / sigma,
         )
-        self.cuts[key] = Cut(
-            anchor=anchor.astype(bool).copy(), value=cost, gradient=gradient.copy(),
-        )
+        self.cuts[key] = Cut(anchor.astype(bool).copy(), intercept, gradient.copy())
         return True
 
     def fix(self, fixed: np.ndarray) -> None:
@@ -232,16 +233,25 @@ def solve_support_selection(
 
     incumbent: np.ndarray | None = None
     upper = np.inf
+
+    def cuts_off(zb: np.ndarray, eta: float) -> bool:
+        """Evaluate a new support, let it compete for the incumbent, and add
+        its cut if its cost lies above eta; True when a cut was added."""
+        nonlocal incumbent, upper
+        ev = evaluate(qf, zb)
+        if ev.cost < upper:
+            incumbent, upper = zb, ev.cost
+        if ev.cost <= eta + cut_tol:
+            return False
+        return mp.add_cut(zb, *eval_gradient(qf, ev.v0))
+
     if warm_start is not None:
         zb = np.ascontiguousarray(np.asarray(warm_start).ravel().astype(bool))
         if zb.size != td:
             raise ValueError("warm start length does not match the problem")
         if not check_feasible(zb, budget, qf.graph):
             raise BudgetError("warm start violates the sparsity budgets")
-        ev = evaluate(qf, zb)
-        mp.add_cut(zb, ev.cost, eval_gradient(qf, zb, ev))
-        incumbent = zb
-        upper = ev.cost
+        cuts_off(zb, -np.inf)
 
     seq = 0
     heap = [(mp.eta_lower, seq, np.full(td, -1, dtype=np.int8), None)]
@@ -282,27 +292,20 @@ def solve_support_selection(
                 zb = np.ascontiguousarray(np.round(z_values) != 0.0)
                 cut = mp.cuts.get(zb.tobytes())
                 if cut is None:
-                    ev = evaluate(qf, zb)
-                    cost = ev.cost
-                    if cost > eta + cut_tol:
-                        grad = eval_gradient(qf, zb, ev)
-                        mp.add_cut(zb, cost, grad)
+                    if cuts_off(zb, eta):
                         start = res.state
                         continue
                 else:
-                    # a cut anchored here already bounds eta by this cost;
+                    # the cut anchored here holds eta at this support's cost;
                     # an LP that leaves it violated cannot resolve the costs
-                    cost = cut.value
-                    if cost - eta > limits.gap_tol * max(1.0, abs(cost)):
+                    value = cut.intercept + float(cut.gradient @ zb)
+                    if value - eta > limits.gap_tol * max(1.0, abs(value)):
                         raise WeightError(
                             f"lambda_beta={qf.lambda_beta:g} and "
                             f"lambda_delta={qf.lambda_delta:g}: the LP left eta "
-                            f"{cost - eta:.3g} below a cut it holds, so it cannot "
+                            f"{value - eta:.3g} below a cut it holds, so it cannot "
                             "tell the support costs apart"
                         )
-                if cost < upper:
-                    upper = cost
-                    incumbent = zb
                 break  # node closed: its relaxation meets the true cost
             else:
                 j = branch_variable(z_values)

@@ -1,38 +1,37 @@
-"""Cost oracle for binary support patterns.
+"""Cost oracle for binary support patterns, and dual cuts from any vector.
 
 For a support pattern z (flat boolean, vertex-major) define the restricted
-ridge-coupled system A_z = lambda_beta I + M_zz. The oracle evaluates
+ridge-coupled system A_z = lambda_beta I + M_zz. `evaluate` returns
 
     cost(z) = -1/2 mu_z' A_z^{-1} mu_z
 
-which is the minimum over coefficients supported on z of the canonical
-half-scaled objective; the original penalized objective of the best such
-coefficient vector is const_term + 2 * cost(z). cost is the restriction to
-binary points of a convex function on the unit box, which is what makes
-outer-approximation cuts globally valid. The oracle evaluates binary points
-only; `evaluate` returns the cost together with v0 below, and
-`eval_gradient` takes that evaluation rather than solving again.
+with v0 = A_z^{-1} mu_z embedded at full size (zero off the support). cost(z)
+is the minimum over coefficients supported on z of the canonical half-scaled
+objective; the original penalized objective of the best such coefficient
+vector is const_term + 2 * cost(z). It is the restriction to binary points
+of the convex function on the unit box
 
-The gradient of that convex extension at a binary z comes from one linear
-solve plus one structured matvec:
+    f(z) = min_w sum_j lambda_beta w_j^2 / (2 z_j) + 1/2 w'Mw - mu'w.
 
-    v0 = A_z^{-1} mu_z   (embedded, zero off support)
-    v2 = M v0
-    v1 = v0 on the support, (mu - v2)/lambda_beta off it
-    grad = v1 * (v2 - mu) / 2
+M is PSD, so 1/2 w'Mw >= x'Mw - 1/2 x'Mx for every x. Minimizing over w in
+closed form then gives, for every x and every z in the box, the dual cut
 
-Off-support entries reduce to -(mu - v2)^2 / (2 lambda_beta) <= 0, and at
-z = 0 the whole gradient is -mu^2 / (2 lambda_beta).
+    f(z) >= -1/2 x'Mx - sum_j z_j (mu - Mx)_j^2 / (2 lambda_beta).
+
+`eval_gradient(qf, x)` returns its intercept and gradient for one matvec;
+the cut is valid whatever x is and however accurately it was solved. At x =
+v0 of a binary z, (mu - M v0)_j = lambda_beta v0_j on the support, so the cut
+is tight there: its value at z is cost(z). Every gradient entry is <= 0.
 
 Chain graphs get a block-tridiagonal solve, one LAPACK dpbsv call on the
 banded system; anything else builds the restricted matrix densely and
 factors it with dpotrf (`blocktri.cho_factor`). Both paths agree to tight
 tolerance and are cross-checked in the test suite. A restricted system that
 is not positive definite in floating point raises `WeightError`, which
-names the weights. Neither reads a stored
-D x D block: each restricted diagonal block is formed from the X blocks at
-O(n_t * k_t^2) for k_t selected features and n_t rows at vertex t, and the
-gradient's matvec costs O(sum_t n_t * D + |E| * D).
+names the weights. Neither reads a stored D x D block: each restricted
+diagonal block is formed from the X blocks at O(n_t * k_t^2) for k_t
+selected features and n_t rows at vertex t, and the cut's matvec costs
+O(sum_t n_t * D + |E| * D).
 """
 
 from __future__ import annotations
@@ -47,11 +46,10 @@ from .problem import QuadForm, WeightError
 
 @dataclass(frozen=True)
 class OracleEvaluation:
-    """The cost at one support pattern and the solve that `eval_gradient` reuses."""
+    """The cost at one support pattern and its restricted solution."""
 
     cost: float
     v0: np.ndarray  # (T*D,), zero off support
-    key: bytes      # the support pattern, checked by eval_gradient
 
 
 def _as_support(z: np.ndarray, n: int) -> np.ndarray:
@@ -110,30 +108,20 @@ def _solve_restricted(qf: QuadForm, zb: np.ndarray) -> np.ndarray:
 
 
 def evaluate(qf: QuadForm, z: np.ndarray) -> OracleEvaluation:
-    """Cost of a binary support pattern plus reusable solve state."""
-    zb = _as_support(z, qf.vertex_count * qf.feature_count)
-    v0 = _solve_restricted(qf, zb)
-    cost = -0.5 * float(qf.mu @ v0)
-    return OracleEvaluation(cost=cost, v0=v0, key=zb.tobytes())
+    """Cost of a binary support pattern and the v0 that gives its tight cut."""
+    v0 = _solve_restricted(qf, _as_support(z, qf.vertex_count * qf.feature_count))
+    return OracleEvaluation(cost=-0.5 * float(qf.mu @ v0), v0=v0)
 
 
 def eval_cost(qf: QuadForm, z: np.ndarray) -> float:
     return evaluate(qf, z).cost
 
 
-def eval_gradient(qf: QuadForm, z: np.ndarray, ev: OracleEvaluation) -> np.ndarray:
-    """Gradient of the convex extension at binary z, reusing the cost solve.
-
-    `ev` must come from `evaluate` at the same z; anything else is a
-    contract violation and raises.
-    """
-    zb = _as_support(z, qf.vertex_count * qf.feature_count)
-    if ev.key != zb.tobytes():
-        raise ValueError("oracle evaluation was computed at a different support pattern")
-    v0 = ev.v0
-    v2 = qf.matvec(v0)
-    v1 = np.where(zb, v0, (qf.mu - v2) / qf.lambda_beta)
-    return 0.5 * v1 * (v2 - qf.mu)
+def eval_gradient(qf: QuadForm, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """The dual cut at any x: f(z) >= intercept + gradient'z on the whole box."""
+    mx = qf.matvec(x)
+    residual = qf.mu - mx
+    return -0.5 * float(x @ mx), residual * residual / (-2.0 * qf.lambda_beta)
 
 
 def beta_star(qf: QuadForm, z: np.ndarray) -> np.ndarray:

@@ -1,10 +1,30 @@
 """Fixtures shared by the test modules."""
 
 import os
+import sys
 
 import pytest
 
+import slowreg.cli  # with the package, this loads every slowreg module
 from slowreg import fanout
+
+# the modules these tests bound at import, whatever re-imports slowreg later
+_SLOWREG_MODULES = {
+    name: module for name, module in sys.modules.items()
+    if name == "slowreg" or name.startswith("slowreg.")
+}
+
+
+@pytest.fixture(autouse=True)
+def original_slowreg_modules():
+    """Put back the slowreg modules captured at import, so that a fresh copy
+    left in `sys.modules` by an earlier test (the benchmark's tests import
+    slowreg from scratch) meets neither a dotted-path monkeypatch nor a
+    pickled exception class."""
+    for name in [m for m in sys.modules if m == "slowreg" or m.startswith("slowreg.")]:
+        if name not in _SLOWREG_MODULES:
+            del sys.modules[name]
+    sys.modules.update(_SLOWREG_MODULES)
 
 
 @pytest.fixture(autouse=True)

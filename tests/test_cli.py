@@ -59,7 +59,7 @@ class TestFitCommand:
         out = tmp_path / "report.json"
         write_data_csv(data, instance.x_blocks, instance.y_blocks)
         code = main([
-            "fit", "--data", str(data), "--chain", "--grid",
+            "fit", "--data", str(data), "--chain",
             "--kl", "2", "--kg", "2", "--kc", "1",
             "--seed", "4", "--time-limit", "20",
             "--omit-timings", "--output", str(out),
@@ -111,6 +111,15 @@ class TestExitCodes:
             ("selftest", "invalid choice: 'selftest'"),
             ("empty_methods", "--methods must name some of"),
             ("empty_methods_config", "--methods must name some of"),
+            ("no_command", "a command is required"),
+            ("negative_time_limit", "--time-limit must be nonnegative"),
+            ("zero_gap_tol", "--gap-tol must be positive"),
+            ("holdout_one", "--holdout must lie strictly between 0 and 1"),
+            ("lambda_beta_alone", "give both --lambda-beta and --lambda-delta"),
+            ("zero_lambda_beta", "lambda-beta must be positive"),
+            ("spatial_without_kg", "--mode spatial: missing required --kg"),
+            ("no_graph", "a graph is required (--graph FILE or --chain)"),
+            ("kl_above_d", "need 1 <= k_l <= d, got k_l=6, d=5"),
         ],
     )
     def test_usage_errors_exit_2(self, data_files, tmp_path, capsys, case, message):
@@ -118,6 +127,7 @@ class TestExitCodes:
         base = ["gridsearch", "--data", data, "--graph", graph]
         budgets = ["--kl", "2", "--kg", "3", "--kc", "4"]
         synth = ["synth", "--n", "12", "--t", "3", "--d", "5", "--kl", "2"]
+        fit = fit_argv(data, graph, tmp_path / "report.json")
         config = tmp_path / "run.cfg"
         config.write_text("methods=\n" if case == "empty_methods_config" else "bogus=1\n")
         argv = {
@@ -127,9 +137,45 @@ class TestExitCodes:
             "selftest": ["selftest"],
             "empty_methods": synth + ["--methods", ""],
             "empty_methods_config": synth + ["--config", str(config)],
+            "no_command": [],
+            "negative_time_limit": fit + ["--time-limit", "-1"],
+            "zero_gap_tol": fit + ["--gap-tol", "0"],
+            "holdout_one": base + budgets + ["--holdout", "1"],
+            "lambda_beta_alone": ["fit", "--data", data, "--graph", graph, *budgets,
+                                  "--lambda-beta", "5.0"],
+            "zero_lambda_beta": fit + ["--lambda-beta", "0"],
+            "spatial_without_kg": synth + ["--mode", "spatial", "--e", "2"],
+            "no_graph": ["fit", "--data", data, *budgets],
+            "kl_above_d": ["synth", "--n", "12", "--t", "3", "--d", "5", "--kl", "6"],
         }[case]
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case,message",
+        [
+            ("config_line_without_equals", "expected key=value"),
+            ("unwritable_output", "cannot write report"),
+            ("dump_into_missing_directory", "cannot dump dataset"),
+        ],
+    )
+    def test_input_and_output_errors_exit_3(self, data_files, tmp_path, capsys,
+                                            case, message):
+        data, graph = data_files
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=1\nstandardize\n")
+        missing = tmp_path / "missing"
+        synth = ["synth", "--n", "12", "--t", "3", "--d", "5", "--kl", "2",
+                 "--methods", "static", "--output", str(tmp_path / "synth.json")]
+        argv = {
+            "config_line_without_equals": gridsearch_argv(data, graph)
+            + ["--config", str(config)],
+            "unwritable_output": fit_argv(data, graph, missing / "report.json"),
+            "dump_into_missing_directory": synth + ["--dump-data", str(missing / "ds")],
+        }[case]
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
+        assert not missing.exists()
 
     @pytest.mark.parametrize(
         "case,flag,value",
@@ -434,7 +480,7 @@ class TestFanOutReports:
         out = tmp_path / "report.json"
         argv = {
             "gridsearch": gridsearch_argv(data, graph) + ["--seed", "2"],
-            "fit": ["fit", "--data", data, "--graph", graph, "--grid",
+            "fit": ["fit", "--data", data, "--graph", graph,
                     "--kl", "2", "--kg", "3", "--kc", "4", "--seed", "5"],
             "synth": ["synth", "--n", "10", "--t", "3", "--d", "5", "--kl", "2",
                       "--kc", "2", "--seed", "1", "--methods", "static,stepwise"],
@@ -492,6 +538,7 @@ class TestConfigFile:
             ("gridsearch", "kl=x\n", "bad value 'x' for config key 'kl'"),
             ("gridsearch", "chain=maybe\n", "bad value 'maybe' for config key 'chain'"),
             ("fit", "holdout=0.5\n", "unknown config key 'holdout' for this command"),
+            ("fit", "grid=yes\n", "unknown config key 'grid' for this command"),
             ("fit", "config=other.cfg\n", "unknown config key 'config'"),
             ("fit", "command=synth\n", "unknown config key 'command'"),
             ("fit", "help=1\n", "unknown config key 'help'"),

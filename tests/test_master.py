@@ -19,6 +19,8 @@ from slowreg import (
     build_quadform,
     check_feasible,
     eval_cost,
+    eval_gradient,
+    evaluate,
     stepwise_fit,
     true_objective,
 )
@@ -84,7 +86,7 @@ class TestMasterProgram:
         assert mp.add_cut(anchor, -1.0, grad)
         assert not mp.add_cut(anchor, -1.0, grad)
         assert len(mp.cuts) == 1
-        assert mp.cuts.get(anchor.tobytes()).value == -1.0
+        assert mp.cuts.get(anchor.tobytes()).intercept == -1.0
 
     def test_cut_row_scaling(self):
         _, qf, budget = small_setup(4)
@@ -104,11 +106,8 @@ class TestMasterProgram:
         anchor = np.zeros(8, dtype=bool)
         anchor[1] = True
         anchor[4 + 1] = True
-        from slowreg import evaluate, eval_gradient
-
         ev = evaluate(qf, anchor)
-        grad = eval_gradient(qf, anchor, ev)
-        mp.add_cut(anchor, ev.cost, grad)
+        mp.add_cut(anchor, *eval_gradient(qf, ev.v0))
         mp.fix(anchor.astype(np.int8))
         res = solve_boxed_lp(mp.lp)
         assert res.status == "optimal"
@@ -306,6 +305,28 @@ class TestLimitsAndDeterminism:
         if res.status == "node_limit":
             assert res.node_count == 1
 
+    def test_node_lp_at_the_deadline_ends_the_search(self, monkeypatch):
+        # the third node LP stops at the deadline: the search ends with
+        # time_limit and reports the incumbent it holds
+        calls = []
+
+        def stopping(lp, start=None):
+            calls.append(start)
+            if len(calls) == 3:
+                return LPResult("time_limit", None, np.nan, 0, None, False)
+            return solve_boxed_lp(lp, start=start)
+
+        monkeypatch.setattr(master, "solve_boxed_lp", stopping)
+        instance, budget, warm_z = weak_setup(0)
+        qf = build_quadform(instance)
+        res = solve_support_selection(qf, budget, warm_start=warm_z,
+                                      limits=SolveLimits(max_nodes=100))
+        assert res.status == "time_limit" and len(calls) == 3
+        assert check_feasible(res.incumbent_z, budget, instance.graph)
+        assert res.upper_bound <= eval_cost(qf, warm_z)
+        assert res.objective_value == qf.const_term + 2.0 * res.upper_bound
+        assert res.lower_bound <= res.upper_bound
+
     def test_determinism(self):
         _, qf, budget = small_setup(33, 2, 3, 2)
         a = solve_support_selection(qf, budget, limits=TIGHT)
@@ -499,15 +520,44 @@ class TestSearchProperties:
             assert len(res.history) == res.node_count + 1
 
 
-def weak_chain_setup(seed):
-    """Chain T=4, D=8 at weak weights: the bound stays loose for 100 nodes."""
+def weak_setup(seed, mode="temporal"):
+    """T=4, D=8 at weak weights: the bound stays loose for 100 nodes."""
+    graph = {"temporal": {}, "spatial": dict(e=4, k_g=4)}[mode]
     dataset = make_synthetic_dataset(
-        SynthParams(n=30, t=4, d=8, k_l=2, k_c=2, mode="temporal", seed=seed)
+        SynthParams(n=30, t=4, d=8, k_l=2, k_c=2, mode=mode, seed=seed, **graph)
     )
     instance = dataset.instance.with_weights(30 * 3.0**-6, 30 * 3.0**-2)
     budget = solver_budget(dataset)
     warm = stepwise_fit(instance, budget, seed=seed)
     return instance, budget, warm.z
+
+
+class TestIncumbent:
+    @pytest.mark.parametrize("mode", ["temporal", "spatial"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_capped_solve_reports_the_best_support_it_evaluated(self, seed, mode,
+                                                                monkeypatch):
+        # without a warm start, every support the tree evaluates competes for
+        # the incumbent at once, also one whose cut then re-solves its node
+        evaluated = []
+
+        def recording(qf, z):
+            ev = evaluate(qf, z)
+            evaluated.append((ev.cost, np.array(z, dtype=bool)))
+            return ev
+
+        monkeypatch.setattr(master, "evaluate", recording)
+        instance, budget, _ = weak_setup(seed, mode)
+        qf = build_quadform(instance)
+        for cap in (1, 3, 10, 30):
+            evaluated.clear()
+            res = solve_support_selection(qf, budget, limits=SolveLimits(max_nodes=cap))
+            if not evaluated:
+                assert res.incumbent_z is None
+                continue
+            best_cost, best_z = min(evaluated, key=lambda e: e[0])
+            assert res.upper_bound == best_cost
+            assert np.array_equal(res.incumbent_z, best_z)
 
 
 class TestWarmNodeLPs:
@@ -523,7 +573,7 @@ class TestWarmNodeLPs:
             return res
 
         monkeypatch.setattr(master, "solve_boxed_lp", recording)
-        instance, budget, warm_z = weak_chain_setup(seed)
+        instance, budget, warm_z = weak_setup(seed)
         res = solve_support_selection(
             build_quadform(instance), budget, warm_start=warm_z,
             limits=SolveLimits(max_nodes=100),
@@ -540,7 +590,7 @@ class TestIllConditionedNodeLP:
         # a node LP of this instance once pivoted on a 1e-9 entry of a column
         # whose largest entry was 5e5; the singular basis gave an "optimal"
         # point far outside the box and branching then failed
-        instance, budget, warm_z = weak_chain_setup(1632452358003)
+        instance, budget, warm_z = weak_setup(1632452358003)
         res = solve_support_selection(
             build_quadform(instance), budget, warm_start=warm_z,
             limits=SolveLimits(max_nodes=100),

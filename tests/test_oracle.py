@@ -8,6 +8,7 @@ from slowreg import (
     ProblemInstance,
     QuadForm,
     SimilarityGraph,
+    WeightError,
     beta_star,
     build_quadform,
     eval_cost,
@@ -21,7 +22,9 @@ from slowreg.oracle import (
     _selected,
 )
 
-from util import make_instance, random_graph, restricted_cost_reference
+from util import budget_patterns, make_instance, random_graph, restricted_cost_reference
+
+TRIANGLE = SimilarityGraph(3, edges=((0, 1), (1, 2), (0, 2)))
 
 
 def scalar_quadform(column=(3.0, 3.0, 1.0), mu=1.0, lam=1.0):
@@ -155,23 +158,15 @@ class TestGradient:
         # Half-scaled family member: c(z) = -mu^2 z / (2 (lam + m z)), so
         # c'(1) = -mu^2 lam / (2 (lam + m)^2) = -1/800 at m=19, mu=lam=1.
         qf = scalar_quadform()
-        ev = evaluate(qf, np.array([1]))
-        g = eval_gradient(qf, np.array([1]), ev)
+        _, g = eval_gradient(qf, evaluate(qf, np.array([1])).v0)
         assert g[0] == pytest.approx(-1.0 / 800.0, abs=1e-15)
 
     def test_zero_support_closed_form(self):
         qf = build_quadform(make_instance(T=3, D=4, N=5, seed=14, lambda_delta=0.9))
-        z = np.zeros(12)
-        ev = evaluate(qf, z)
-        g = eval_gradient(qf, z, ev)
+        intercept, g = eval_gradient(qf, evaluate(qf, np.zeros(12)).v0)
+        assert intercept == 0.0
         want = -qf.mu**2 / (2.0 * qf.lambda_beta)
         assert np.allclose(g, want, rtol=1e-12, atol=1e-15)
-
-    def test_cache_mismatch_rejected(self):
-        qf = build_quadform(make_instance(T=2, D=2, N=3, seed=15))
-        ev = evaluate(qf, np.array([1, 0, 0, 0]))
-        with pytest.raises(ValueError):
-            eval_gradient(qf, np.array([0, 1, 0, 0]), ev)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_central_finite_differences(self, seed):
@@ -182,8 +177,7 @@ class TestGradient:
                              graph=graph)
         qf = build_quadform(inst)
         z = rng.integers(0, 2, size=T * D).astype(float)
-        ev = evaluate(qf, z)
-        g = eval_gradient(qf, z, ev)
+        _, g = eval_gradient(qf, evaluate(qf, z).v0)
         eps = 1e-6
         for i in range(T * D):
             zp, zm = z.copy(), z.copy()
@@ -198,8 +192,7 @@ class TestGradient:
         qf = build_quadform(make_instance(T=3, D=3, N=5, seed=19, lambda_delta=0.2))
         for _ in range(20):
             z = rng.integers(0, 2, size=9).astype(bool)
-            ev = evaluate(qf, z)
-            g = eval_gradient(qf, z, ev)
+            _, g = eval_gradient(qf, evaluate(qf, z).v0)
             assert np.all(g[~z] <= 1e-15)
 
     def test_zero_moments_give_zero_gradient(self):
@@ -209,7 +202,53 @@ class TestGradient:
         z = np.array([1, 0, 1])
         ev = evaluate(qf, z)
         assert ev.cost == 0.0
-        assert np.all(eval_gradient(qf, z, ev) == 0.0)
+        intercept, g = eval_gradient(qf, ev.v0)
+        assert intercept == 0.0 and np.all(g == 0.0)
+
+
+class TestDualCut:
+    """The cut from any vector under-estimates the cost at every support."""
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_every_cut_underestimates_the_cost(self, data):
+        graph = data.draw(st.sampled_from([SimilarityGraph.chain(3), TRIANGLE]),
+                          label="graph")
+        lambda_beta = data.draw(st.floats(1e-3, 30.0), label="lambda_beta")
+        lambda_delta = data.draw(st.floats(0.0, 30.0), label="lambda_delta")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        qf = build_quadform(make_instance(T=3, D=4, N=6, seed=seed, graph=graph,
+                                          lambda_beta=lambda_beta,
+                                          lambda_delta=lambda_delta))
+        supports = np.array(list(budget_patterns(3, 4, 2, 3, 4, graph.edges)), dtype=bool)
+        costs = np.array([eval_cost(qf, z) for z in supports])
+        tol = 1e-12 * np.maximum(1.0, np.abs(costs))
+        anchor = data.draw(st.integers(0, len(supports) - 1), label="anchor")
+        v0 = evaluate(qf, supports[anchor]).v0
+        scale = float(np.max(np.abs(v0))) or 1.0
+        noise = data.draw(st.floats(0.0, 1.0), label="noise")
+        rng = np.random.default_rng(seed)
+        near = v0 + noise * scale * rng.standard_normal(v0.size)
+        apart = scale * rng.standard_normal(v0.size)
+        for x in (v0, near, apart):
+            intercept, g = eval_gradient(qf, x)
+            assert np.all(intercept + supports @ g <= costs + tol)
+        intercept, g = eval_gradient(qf, v0)
+        assert abs(intercept + g @ supports[anchor] - costs[anchor]) <= tol[anchor]
+
+
+class TestRefusedSolve:
+    @pytest.mark.parametrize("graph", [SimilarityGraph.chain(3), TRIANGLE],
+                             ids=["chain", "generic"])
+    def test_singular_restricted_system_raises_weight_error(self, graph):
+        # two equal integer columns: the second Cholesky pivot of each
+        # vertex's block is (1 + 1e-30) - 1 = 0 exactly
+        x = np.array([[1.0, 1.0], [0.0, 0.0]])
+        y = np.array([1.0, 2.0])
+        qf = build_quadform(ProblemInstance(graph, (x,) * 3, (y,) * 3, 1e-30, 0.0))
+        with pytest.raises(WeightError, match="lambda_beta=1e-30 and lambda_delta=0 "
+                                              "leave a restricted system"):
+            evaluate(qf, np.ones(6, dtype=bool))
 
 
 class TestConvexity:

@@ -114,9 +114,8 @@ def restricted_cost_reference(instance, z):
 
 
 def cut_value_reference(cut, z):
-    """A cut's value at z: value + gradient'(z - anchor)."""
-    diff = np.asarray(z, dtype=np.float64) - cut.anchor.astype(np.float64)
-    return cut.value + float(cut.gradient @ diff)
+    """A cut's value at z: intercept + gradient'z."""
+    return cut.intercept + float(cut.gradient @ np.asarray(z, dtype=np.float64))
 
 
 def budget_patterns(T, D, k_l, k_g, k_c, edges):
