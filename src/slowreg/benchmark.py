@@ -481,15 +481,18 @@ def fit_static(
     flags. The baseline deliberately ignores the graph and all per-vertex
     structure.
     """
-    if k > instance.feature_count:
+    x, y = np.vstack(instance.x_blocks), np.concatenate(instance.y_blocks)
+    return _fit_stacked(x, y, instance.vertex_count, k, lambda_beta)
+
+
+def _fit_stacked(
+    x: np.ndarray, y: np.ndarray, t: int, k: int, lambda_beta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """`fit_static` on rows already stacked, broadcast to t vertices."""
+    if k > x.shape[1]:
         raise ValueError("k cannot exceed the number of features")
-    x = np.vstack(instance.x_blocks)
-    y = np.concatenate(instance.y_blocks)
-    support, beta_shared = sparse_ridge_greedy(x, y, k, lambda_beta)
-    t = instance.vertex_count
-    beta = np.tile(beta_shared, t)
-    z = np.tile(beta_shared != 0.0, t)
-    return beta, z
+    _, beta_shared = sparse_ridge_greedy(x, y, k, lambda_beta)
+    return np.tile(beta_shared, t), np.tile(beta_shared != 0.0, t)
 
 
 def lambda_beta_grid(n_anchor: float) -> list[float]:
@@ -752,13 +755,15 @@ def tune_static(instance: ProblemInstance, k: int, seed: int = 0) -> tuple[float
 
     The candidates are `lambda_beta_grid` at the mean row count, scored on a
     0.3 holdout split, which reorders each vertex's rows in place and
-    restores them as `grid_search` does.
+    restores them as `grid_search` does. The training rows are stacked once
+    for the whole search.
     """
     t, d = instance.vertex_count, instance.feature_count
     best = None
     with _holdout_views(instance, 0.3, seed) as (train, hold_blocks):
+        x, y = np.vstack(train.x_blocks), np.concatenate(train.y_blocks)
         for lb in lambda_beta_grid(float(np.mean(instance.row_counts))):
-            beta, _ = fit_static(train, k, lb)
+            beta, _ = _fit_stacked(x, y, t, k, lb)
             r2 = _pooled_r2(beta.reshape(t, d), hold_blocks)
             if best is None or r2 > best[0]:
                 best = (r2, lb)

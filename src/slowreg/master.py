@@ -8,11 +8,14 @@ oracle's dual cut eta >= intercept + gradient'z at the solution v0 of a
 binary anchor: valid on the whole box, so one pool serves every node, and
 tight at its anchor, whose bytes are the pool's dedupe key.
 
-An evaluated support meets the incumbent in one place. A new integral LP
-point is evaluated once and competes for the incumbent at once; if its cost
-lies above eta its cut is added and the node re-solves in place, otherwise
-the node closes. A point that is already an anchor closes its node, since
-its own cut holds eta at its cost. The warm start takes the same steps.
+A node is one step, `_Search.step`, with five outcomes. Its LP can be
+`infeasible`, stop at the deadline (`time_limit`), come within the gap
+tolerance of the incumbent (`dominated`) or end at a fractional point
+(`branched`). An integral point goes to `separate`, the one place where a
+support meets the incumbent: a new support is evaluated once, competes for
+the incumbent, and adds its cut if its cost lies above eta, so the node
+re-solves in place; otherwise, as for an anchor, whose own cut holds eta at
+its cost, the node is `closed`. The warm start goes through `separate` too.
 
 A node is a heap entry (bound, seq, fixed, basis): its parent's LP value, a
 tie-breaking counter, one int8 per z column (-1 free, 0 or 1) and its
@@ -26,8 +29,7 @@ base rows go in once, sparse, a cut is one more row, and a node's fixings
 are bounds on its z columns. The root's first LP starts cold; a cut
 re-solve starts from the basis just found, and a child from its parent's
 final basis, which differs by one tightened bound on the branched z, so a
-few dual simplex pivots re-solve it. A node LP that reaches the time limit
-ends the search with `time_limit`.
+few dual simplex pivots re-solve it.
 
 The root LP is always feasible: z = 0 meets every budget that `validate`
 accepts; only child nodes can come back infeasible.
@@ -51,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .highs import HIGHS_INFINITY, LPModel, solve_boxed_lp
+from .highs import HIGHS_INFINITY, LPModel, LPResult, solve_boxed_lp
 from .oracle import beta_star, eval_gradient, evaluate
 from .problem import (
     BudgetError, QuadForm, SparsityBudget, WeightError, check_feasible,
@@ -82,6 +84,14 @@ class SolveLimits:
     gap_tol: float = 1e-6
     max_nodes: int | None = None
 
+    def __post_init__(self):
+        if not 0.0 < self.gap_tol < np.inf:
+            raise ValueError(f"gap_tol must be finite and positive, got {self.gap_tol!r}")
+        if not self.time_limit >= 0.0:
+            raise ValueError(f"time_limit must be nonnegative or inf, got {self.time_limit!r}")
+        if self.max_nodes is not None and self.max_nodes < 0:
+            raise ValueError(f"max_nodes must be nonnegative or None, got {self.max_nodes!r}")
+
 
 @dataclass
 class SolveResult:
@@ -99,7 +109,7 @@ class SolveResult:
     node_count: int
     cut_count: int
     wall_time: float
-    history: list = field(default_factory=list, repr=False)
+    history: list = field(default_factory=list, repr=False)  # (s, lower, upper) per move
     cuts: list = field(default_factory=list, repr=False)
 
 
@@ -213,6 +223,60 @@ def _relative_gap(upper: float, lower: float) -> float:
     return max(0.0, upper - lower) / max(1.0, abs(upper))
 
 
+class _Search:
+    """One solve's state: master program, incumbent, upper bound, deadline, history."""
+
+    def __init__(self, qf: QuadForm, budget: SparsityBudget, limits: SolveLimits):
+        self.start = time.perf_counter()
+        self.deadline = self.start + limits.time_limit
+        self.mp = MasterProgram(qf, budget, deadline=self.deadline)
+        self.gap_tol, self.cut_tol = limits.gap_tol, min(1e-6, limits.gap_tol)
+        self.incumbent: np.ndarray | None = None
+        self.upper = np.inf
+        self.history: list[tuple[float, float, float]] = []
+
+    def separate(self, zb: np.ndarray, eta: float) -> bool:
+        """Meet a binary support with the incumbent and the cut pool at the LP
+        value eta; True when it added a cut, so its node must re-solve."""
+        qf, cut = self.mp.qf, self.mp.cuts.get(zb.tobytes())
+        if cut is not None:
+            value = cut.intercept + float(cut.gradient @ zb)
+            if value - eta > self.gap_tol * max(1.0, abs(value)):
+                raise WeightError(
+                    f"lambda_beta={qf.lambda_beta:g} and lambda_delta={qf.lambda_delta:g}: "
+                    f"the LP left eta {value - eta:.3g} below a cut it holds, so it "
+                    "cannot tell the support costs apart")
+            return False
+        ev = evaluate(qf, zb)
+        if ev.cost < self.upper:
+            self.incumbent, self.upper = zb, ev.cost
+        if ev.cost <= eta + self.cut_tol:
+            return False
+        return self.mp.add_cut(zb, *eval_gradient(qf, ev.v0))
+
+    def step(self, fixed: np.ndarray, start) -> tuple[str, LPResult]:
+        """Solve one node to its outcome, re-solving in place after each cut."""
+        mp = self.mp
+        mp.fix(fixed)
+        while True:
+            res = solve_boxed_lp(mp.lp, start=start)
+            if res.status != "optimal":
+                return res.status, res
+            if _relative_gap(self.upper, res.objective) <= self.gap_tol:
+                return "dominated", res
+            z_values = res.x[mp.z0 : mp.s0]
+            if np.max(np.abs(z_values - np.round(z_values))) > _INT_TOL:
+                return "branched", res
+            if not self.separate(np.round(z_values) != 0.0, float(res.x[0])):
+                return "closed", res
+            start = res.state
+
+    def record(self, lower: float) -> None:
+        """Add (seconds, lower, upper) to the history when a bound moved."""
+        if not self.history or self.history[-1][1:] != (lower, self.upper):
+            self.history.append((time.perf_counter() - self.start, lower, self.upper))
+
+
 def solve_support_selection(
     qf: QuadForm,
     budget: SparsityBudget,
@@ -226,50 +290,30 @@ def solve_support_selection(
     """
     if limits is None:
         limits = SolveLimits()
-    start_time = time.perf_counter()
-    mp = MasterProgram(qf, budget, deadline=start_time + limits.time_limit)
+    search = _Search(qf, budget, limits)
+    mp = search.mp
     td = mp.t_count * mp.d_count
-    cut_tol = min(1e-6, limits.gap_tol)
-
-    incumbent: np.ndarray | None = None
-    upper = np.inf
-
-    def cuts_off(zb: np.ndarray, eta: float) -> bool:
-        """Evaluate a new support, let it compete for the incumbent, and add
-        its cut if its cost lies above eta; True when a cut was added."""
-        nonlocal incumbent, upper
-        ev = evaluate(qf, zb)
-        if ev.cost < upper:
-            incumbent, upper = zb, ev.cost
-        if ev.cost <= eta + cut_tol:
-            return False
-        return mp.add_cut(zb, *eval_gradient(qf, ev.v0))
 
     if warm_start is not None:
-        zb = np.ascontiguousarray(np.asarray(warm_start).ravel().astype(bool))
+        zb = np.asarray(warm_start).ravel().astype(bool)
         if zb.size != td:
             raise ValueError("warm start length does not match the problem")
         if not check_feasible(zb, budget, qf.graph):
             raise BudgetError("warm start violates the sparsity budgets")
-        cuts_off(zb, -np.inf)
+        search.separate(zb, -np.inf)
 
     seq = 0
     heap = [(mp.eta_lower, seq, np.full(td, -1, dtype=np.int8), None)]
     node_count = 0
-    history: list[tuple[float, float, float]] = []
-
-    def elapsed() -> float:
-        return time.perf_counter() - start_time
-
     while True:
-        lower = min(heap[0][0], upper) if heap else upper
-        history.append((elapsed(), lower, upper))
-        if _relative_gap(upper, lower) <= limits.gap_tol:
+        lower = min(heap[0][0], search.upper) if heap else search.upper
+        search.record(lower)
+        if _relative_gap(search.upper, lower) <= limits.gap_tol:
             status = "optimal"
             break
         if not heap:
             raise RuntimeError("search ended without an incumbent")
-        if elapsed() > limits.time_limit:
+        if time.perf_counter() > search.deadline:
             status = "time_limit"
             break
         if limits.max_nodes is not None and node_count >= limits.max_nodes:
@@ -278,67 +322,35 @@ def solve_support_selection(
 
         _, _, fixed, start = heapq.heappop(heap)
         node_count += 1
-
-        mp.fix(fixed)
-        while True:  # lazy-evaluation loop on one node
-            res = solve_boxed_lp(mp.lp, start=start)
-            if res.status != "optimal":
-                break
-            if _relative_gap(upper, res.objective) <= limits.gap_tol:
-                break  # the whole subtree is dominated by the incumbent
-            eta = float(res.x[0])
-            z_values = res.x[mp.z0 : mp.s0]
-            if np.max(np.abs(z_values - np.round(z_values))) <= _INT_TOL:
-                zb = np.ascontiguousarray(np.round(z_values) != 0.0)
-                cut = mp.cuts.get(zb.tobytes())
-                if cut is None:
-                    if cuts_off(zb, eta):
-                        start = res.state
-                        continue
-                else:
-                    # the cut anchored here holds eta at this support's cost;
-                    # an LP that leaves it violated cannot resolve the costs
-                    value = cut.intercept + float(cut.gradient @ zb)
-                    if value - eta > limits.gap_tol * max(1.0, abs(value)):
-                        raise WeightError(
-                            f"lambda_beta={qf.lambda_beta:g} and "
-                            f"lambda_delta={qf.lambda_delta:g}: the LP left eta "
-                            f"{value - eta:.3g} below a cut it holds, so it cannot "
-                            "tell the support costs apart"
-                        )
-                break  # node closed: its relaxation meets the true cost
-            else:
-                j = branch_variable(z_values)
-                for value in (0, 1):
-                    child = fixed.copy()
-                    child[j] = value
-                    seq += 1
-                    heapq.heappush(heap, (res.objective, seq, child, res.state))
-                break
-        if res.status == "time_limit":
+        outcome, res = search.step(fixed, start)
+        if outcome == "branched":
+            j = branch_variable(res.x[mp.z0 : mp.s0])
+            for value in (0, 1):
+                child = fixed.copy()
+                child[j] = value
+                seq += 1
+                heapq.heappush(heap, (res.objective, seq, child, res.state))
+        elif outcome == "time_limit":
             status = "time_limit"
             break
+    search.record(lower)  # a node LP stopped at the deadline may have moved upper
 
-    if incumbent is not None:
-        beta = beta_star(qf, incumbent)
-        objective = qf.const_term + 2.0 * upper
-    else:
-        beta = None
-        objective = np.inf
+    beta = None if search.incumbent is None else beta_star(qf, search.incumbent)
+    objective = qf.const_term + 2.0 * search.upper  # inf without an incumbent
     objective_lower = qf.const_term + 2.0 * lower
     return SolveResult(
         status=status,
-        incumbent_z=incumbent,
+        incumbent_z=search.incumbent,
         incumbent_beta=beta,
-        upper_bound=upper,
+        upper_bound=search.upper,
         lower_bound=lower,
         objective_value=objective,
         objective_lower_bound=objective_lower,
-        relative_gap=_relative_gap(upper, lower),
+        relative_gap=_relative_gap(search.upper, lower),
         objective_gap=_relative_gap(objective, objective_lower),
         node_count=node_count,
         cut_count=len(mp.cuts),
-        wall_time=elapsed(),
-        history=history,
+        wall_time=time.perf_counter() - search.start,
+        history=search.history,
         cuts=list(mp.cuts.values()),
     )

@@ -296,6 +296,14 @@ class TestLimitsAndDeterminism:
         assert res.incumbent_beta is None
         assert not np.isfinite(res.upper_bound)
 
+    @pytest.mark.parametrize("name, value", [
+        ("gap_tol", -1e-3), ("gap_tol", 0.0), ("gap_tol", np.nan), ("gap_tol", np.inf),
+        ("time_limit", np.nan), ("time_limit", -1.0), ("max_nodes", -1),
+    ])
+    def test_refused_limits(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SolveLimits(**{name: value})
+
     def test_node_budget_reports_node_limit(self):
         _, qf, budget = small_setup(32, 1, 3, 2)
         res = solve_support_selection(
@@ -326,6 +334,7 @@ class TestLimitsAndDeterminism:
         assert res.upper_bound <= eval_cost(qf, warm_z)
         assert res.objective_value == qf.const_term + 2.0 * res.upper_bound
         assert res.lower_bound <= res.upper_bound
+        assert res.history[-1][1:] == (res.lower_bound, res.upper_bound)
 
     def test_determinism(self):
         _, qf, budget = small_setup(33, 2, 3, 2)
@@ -501,7 +510,18 @@ class TestSearchProperties:
         budget = SparsityBudget(max_per_vertex=k_l, max_global=k_g, max_changes=k_c)
         warm = stepwise_fit(instance, budget, seed=seed, qf=qf)
         limits = SolveLimits(time_limit=60.0, max_nodes=50)
-        res = solve_support_selection(qf, budget, warm_start=warm.z, limits=limits)
+        lp_runs = []
+
+        def counting(lp, start=None):
+            lp_runs.append(start)
+            return solve_boxed_lp(lp, start=start)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(master, "solve_boxed_lp", counting)
+            res = solve_support_selection(qf, budget, warm_start=warm.z, limits=limits)
+        # one LP per node and one re-solve per cut, but the warm start's cut
+        # is added before the root: no node is solved twice
+        assert len(lp_runs) == res.node_count + res.cut_count - 1
 
         best, _ = exhaustive_best_support(instance, k_l, k_g, k_c)
         tol = 1e-9 * max(1.0, abs(best))
@@ -515,9 +535,10 @@ class TestSearchProperties:
             cost = eval_cost(qf, z)
             for cut in res.cuts:
                 assert cut_value_reference(cut, z) <= cost + 1e-9 * max(1.0, abs(cost))
-        if res.status != "time_limit":
-            # best first: every pass of the loop pops a node or stops
-            assert len(res.history) == res.node_count + 1
+        # an entry per move of a bound, the last one at the result's bounds
+        moves = [(low, up) for _, low, up in res.history]
+        assert all(a != b for a, b in zip(moves, moves[1:]))
+        assert moves[-1] == (res.lower_bound, res.upper_bound)
 
 
 def weak_setup(seed, mode="temporal"):
