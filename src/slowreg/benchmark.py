@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,6 +34,7 @@ from .problem import (
 from .stepwise import greedy_start, sparse_ridge_greedy, stepwise_fit
 
 MODES = ("temporal", "spatial")
+METHODS = ("static", "stepwise", "cutplane")
 _GEN_BLOCK = 1 << 17  # doubles per block of gen_x's second part (1 MiB)
 
 
@@ -542,13 +543,13 @@ def _holdout_views(instance: ProblemInstance, fraction: float, seed: int):
     a second copy of the data. The original order is written back on exit,
     also when the body or the reorder itself raises. Blocks that are
     read-only, or that share elements with another block (one reorder would
-    move the other's rows too), are gathered into copies instead.
+    move the other's rows too), are copied first, and the copies take the
+    same reorder.
     """
     splits = _holdout_rows(instance.row_counts, fraction, seed)
     blocks = instance.x_blocks + instance.y_blocks
     if not (all(a.flags.writeable for a in blocks) and _disjoint(blocks)):
-        yield _split(instance, splits)
-        return
+        blocks = tuple(a.copy() for a in blocks)
     orders = [np.concatenate(pair) for pair in splits] * 2
     moved = 0
     try:
@@ -557,26 +558,16 @@ def _holdout_views(instance: ProblemInstance, fraction: float, seed: int):
             # handled between the store and the count
             a[...] = a[order]
             moved += 1
-        yield _split(instance, [(slice(tr.size), slice(tr.size, None)) for tr, _ in splits])
+        xs, ys = blocks[:len(splits)], blocks[len(splits):]
+        ks = [tr.size for tr, _ in splits]
+        yield (
+            replace(instance, x_blocks=tuple(x[:k] for x, k in zip(xs, ks)),
+                    y_blocks=tuple(y[:k] for y, k in zip(ys, ks))),
+            [(x[k:], y[k:]) for x, y, k in zip(xs, ys, ks)],
+        )
     finally:
         for a, order in zip(blocks[:moved], orders):
             a[order] = a.copy()
-
-
-def _split(instance: ProblemInstance, rows) -> tuple[ProblemInstance, list]:
-    """The training instance and held-out blocks at per-vertex (train, hold) `rows`."""
-    train = ProblemInstance(
-        graph=instance.graph,
-        x_blocks=tuple(x[tr] for x, (tr, _) in zip(instance.x_blocks, rows)),
-        y_blocks=tuple(y[tr] for y, (tr, _) in zip(instance.y_blocks, rows)),
-        lambda_beta=instance.lambda_beta,
-        lambda_delta=instance.lambda_delta,
-    )
-    hold_blocks = [
-        (x[hold], y[hold])
-        for x, y, (_, hold) in zip(instance.x_blocks, instance.y_blocks, rows)
-    ]
-    return train, hold_blocks
 
 
 def _disjoint(arrays) -> bool:
@@ -640,7 +631,7 @@ def grid_search(
     written back before the refit, also when a fit raises. The blocks are
     therefore written to while the search runs; do not share the instance
     with another thread meanwhile. Read-only blocks, or blocks that share
-    elements (one array given for two vertices), are split into copies.
+    elements (one array given for two vertices), are copied first.
 
     The pairs share what does not depend on their weights. The training
     quadform (mu and const_term, O(sum_t n_t * D)) is built once; each pair
@@ -668,24 +659,17 @@ def grid_search(
             return _holdout_scores(indices, train, qf, hold_blocks, budget, grid, seed)
 
         r2s = _forked_scores(grid, sum(x.nbytes for x in instance.x_blocks), scores)
-        if r2s is None:
-            r2s = scores(range(len(grid)))
 
-    best = None
-    table = []
-    for (lb, ld), r2 in zip(grid, r2s):
-        table.append({"lambda_beta": lb, "lambda_delta": ld, "holdout_r2": r2})
-        if best is None or r2 > best[0]:
-            best = (r2, lb, ld)
-
-    r2_best, lb_best, ld_best = best
+    best = _first_max(r2s)
+    lb_best, ld_best = grid[best]
     full = instance.with_weights(lb_best, ld_best)
     final_fit = stepwise_fit(full, budget, seed=seed)
     return GridSearchResult(
         lambda_beta=lb_best,
         lambda_delta=ld_best,
-        holdout_r2=r2_best,
-        table=table,
+        holdout_r2=r2s[best],
+        table=[{"lambda_beta": lb, "lambda_delta": ld, "holdout_r2": r2}
+               for (lb, ld), r2 in zip(grid, r2s)],
         fit=final_fit,
         instance=full,
     )
@@ -716,38 +700,43 @@ def _holdout_scores(indices, train, qf, hold_blocks, budget, grid, seed) -> list
     return out
 
 
-def _forked_scores(grid, size: int, scores) -> list[float] | None:
+def _forked_scores(grid, size: int, scores) -> list[float]:
     """`scores` of every grid index, the lambda_beta groups shared over forks.
 
     `size` is the data's byte count. Group k of the grid (in first-seen
-    order) goes to share k % count, the parent scores share 0, and the
-    children send back their R^2 lists. Returns None, for a serial pass,
-    when one process should do it all or any share fails: the serial pass
-    then raises the error that a serial run raises, at the same pair.
+    order) goes to share k % count, the parent scores share 0, and each
+    child sends back its R^2 values as one array. When one process should
+    do it all, or any share fails, one serial pass scores the whole grid
+    instead; after a failure it raises the error that a serial run raises,
+    at the same pair.
     """
     groups: dict[float, list[int]] = {}
     for i, (lb, _) in enumerate(grid):
         groups.setdefault(lb, []).append(i)
     count = fanout.worker_count(size, len(groups))
-    if count < 2:
-        return None
-    dealt = list(groups.values())
-    shares = [sorted(sum(dealt[k::count], [])) for k in range(count)]
+    if count > 1:
+        dealt = list(groups.values())
+        shares = [sorted(sum(dealt[k::count], [])) for k in range(count)]
 
-    def collect(children):
-        return [scores(shares[0])] + [child.head() for child in children]
+        def collect(children):
+            r2s = np.empty(len(grid))
+            r2s[shares[0]] = scores(shares[0])
+            for child, share in zip(children, shares[1:]):
+                part = np.empty(child.head())
+                child.readinto(part)
+                r2s[share] = part
+            return r2s.tolist()
 
-    try:
-        parts = fanout.fan_out(count - 1, lambda k: (scores(shares[k + 1]), None), collect)
-    except Exception:
-        return None
-    if parts is None:
-        return None
-    r2s = [0.0] * len(grid)
-    for share, part in zip(shares, parts):
-        for i, r2 in zip(share, part):
-            r2s[i] = r2
-    return r2s
+        with suppress(Exception):
+            r2s = fanout.fan_out(count - 1, lambda k: scores(shares[k + 1]), collect)
+            if r2s is not None:
+                return r2s
+    return scores(range(len(grid)))
+
+
+def _first_max(scores: list[float]) -> int:
+    """The index of the first of the largest scores (a tie goes to the earlier)."""
+    return max(range(len(scores)), key=scores.__getitem__)
 
 
 def tune_static(instance: ProblemInstance, k: int, seed: int = 0) -> tuple[float, float]:
@@ -759,22 +748,20 @@ def tune_static(instance: ProblemInstance, k: int, seed: int = 0) -> tuple[float
     for the whole search.
     """
     t, d = instance.vertex_count, instance.feature_count
-    best = None
+    grid = lambda_beta_grid(float(np.mean(instance.row_counts)))
     with _holdout_views(instance, 0.3, seed) as (train, hold_blocks):
         x, y = np.vstack(train.x_blocks), np.concatenate(train.y_blocks)
-        for lb in lambda_beta_grid(float(np.mean(instance.row_counts))):
-            beta, _ = _fit_stacked(x, y, t, k, lb)
-            r2 = _pooled_r2(beta.reshape(t, d), hold_blocks)
-            if best is None or r2 > best[0]:
-                best = (r2, lb)
-    return best[1], best[0]
+        r2s = [_pooled_r2(_fit_stacked(x, y, t, k, lb)[0].reshape(t, d), hold_blocks)
+               for lb in grid]
+    best = _first_max(r2s)
+    return grid[best], r2s[best]
 
 
 def run_benchmark(
     dataset: SynthDataset,
-    time_limit: float = 300.0,
-    gap_tol: float = 1e-6,
-    methods: tuple[str, ...] = ("static", "stepwise", "cutplane"),
+    time_limit: float = SolveLimits.time_limit,
+    gap_tol: float = SolveLimits.gap_tol,
+    methods: tuple[str, ...] = METHODS,
 ) -> dict:
     """Fit a generated dataset with each requested method.
 
@@ -782,8 +769,7 @@ def run_benchmark(
     per method holding its metrics, its regularization weights, and (for the
     tree search) a solver summary.
     """
-    known = {"static", "stepwise", "cutplane"}
-    bad = set(methods) - known
+    bad = set(methods) - set(METHODS)
     if bad:
         raise ValueError(f"unknown methods: {sorted(bad)}")
     params = dataset.params

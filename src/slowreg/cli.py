@@ -33,6 +33,7 @@ import numpy as np
 
 from . import __version__
 from .benchmark import (
+    METHODS,
     SynthParams,
     grid_search,
     make_synthetic_dataset,
@@ -51,9 +52,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INFEASIBLE = 4
 EXIT_INTERNAL = 5
-
-ALL_METHODS = ("static", "stepwise", "cutplane")
-
 
 class UsageError(ValueError):
     """Bad flags or config values; maps to exit code 2."""
@@ -109,9 +107,9 @@ def _build_parser():
         p.add_argument("--config", help="flat key=value file presetting any flag")
         p.add_argument("--seed", type=nonnegative_int, default=0,
                        help="RNG seed (default %(default)s)")
-        p.add_argument("--time-limit", type=finite_float, default=300.0,
+        p.add_argument("--time-limit", type=finite_float, default=SolveLimits.time_limit,
                        help="solver wall-clock budget in seconds (default %(default)g)")
-        p.add_argument("--gap-tol", type=finite_float, default=1e-6,
+        p.add_argument("--gap-tol", type=finite_float, default=SolveLimits.gap_tol,
                        help="relative optimality gap target (default %(default)g)")
         p.add_argument("--output", help="write the JSON report here instead of stdout")
         p.add_argument("--omit-timings", action="store_true",
@@ -282,11 +280,11 @@ def parse_config(argv=None) -> argparse.Namespace:
                              "lambda-delta nonnegative")
         ns.grid = not has_lb
     elif ns.command == "synth":
-        listed = ",".join(ALL_METHODS) if ns.methods is None else ns.methods
+        listed = ",".join(METHODS) if ns.methods is None else ns.methods
         methods = [m.strip() for m in listed.split(",") if m.strip()]
-        if not methods or set(methods) - set(ALL_METHODS):
+        if not methods or set(methods) - set(METHODS):
             raise UsageError(
-                f"synth: --methods must name some of {','.join(ALL_METHODS)}"
+                f"synth: --methods must name some of {','.join(METHODS)}"
             )
         ns.methods = ",".join(methods)
     return ns

@@ -80,7 +80,7 @@ def read_data_csv(path):
         want = [f"x{j}" for j in range(d)]
         if header[2:] != want:
             raise ValueError(f"{path}: feature columns must be x0..x{d - 1} in order")
-        body = _parse_forked(path, fh)
+        body = _parse_forked(path, fh, d + 2)
         if body is None:
             try:
                 body = _parse_rows(fh)
@@ -103,8 +103,9 @@ def read_data_csv(path):
     if not np.isfinite(squares).all():
         col = 1 + int(np.argmin(np.isfinite(squares)))
         row = int(np.argmax(np.abs(body[:, col])))
+        lineno, _ = next(itertools.islice(_numbered_rows(path), row, None))
         raise ValueError(
-            f"{path}:{_line_of_row(path, row)}: the squares of column {header[col]} "
+            f"{path}:{lineno}: the squares of column {header[col]} "
             f"sum past the float range (largest value {float(body[row, col])!r})"
         )
     t = int(vertex.max()) + 1
@@ -139,14 +140,14 @@ def _parse_rows(source) -> np.ndarray:
         return np.loadtxt(source, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
 
 
-def _parse_forked(path: Path, fh) -> np.ndarray | None:
+def _parse_forked(path: Path, fh, width: int) -> np.ndarray | None:
     """The body of the open file `fh` parsed by forked children, one
-    line-aligned byte range each.
+    line-aligned byte range of rows `width` wide each.
 
     Returns None, for the caller to parse the body from `fh` itself, when
     one process should do it, the header's line end is not a plain newline,
-    a child fails, or the children disagree on the column count: the serial
-    parse then gives the exact answer or error.
+    or a child fails (a bad row, or rows of another width: it sends
+    nothing): the serial parse then gives the exact answer or error.
     """
     size = os.fstat(fh.fileno()).st_size
     count = fanout.worker_count(size)
@@ -173,23 +174,20 @@ def _parse_forked(path: Path, fh) -> np.ndarray | None:
             chunk = io.BytesIO(raw.read(stop - start))
         # decoded as the serial parse decodes the open file
         rows = _parse_rows(io.TextIOWrapper(chunk, encoding=fh.encoding, newline=""))
-        return rows.shape, rows
+        if rows.shape[0] and rows.shape[1] != width:
+            raise ValueError(f"{rows.shape[1]} columns, not {width}")
+        return rows
 
     def collect(shares):
-        shapes = [share.head() for share in shares]
-        widths = {cols for rows, cols in shapes if rows}
-        if len(widths) > 1:
-            raise ValueError("ranges disagree on the column count")
-        body = _mapped_empty((sum(rows for rows, _ in shapes), widths.pop() if widths else 1))
-        at = 0
-        for share, (rows, _) in zip(shares, shapes):
-            share.readinto(body[at:at + rows])
-            at += rows
+        ends = list(itertools.accumulate(share.head() for share in shares))
+        body = _mapped_empty((ends[-1], width))
+        for share, start, stop in zip(shares, [0] + ends, ends):
+            share.readinto(body[start:stop])
         return body
 
     try:
         return fanout.fan_out(len(ranges), work, collect)
-    except (OSError, RuntimeError, ValueError):
+    except (OSError, RuntimeError):
         return None
 
 
@@ -207,37 +205,33 @@ def _mapped_empty(shape: tuple[int, int]) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.float64, count=count).reshape(shape)
 
 
-def _line_of_row(path: Path, index: int) -> int:
-    """The line number of data row `index`, counted as `_raise_first_bad_row` counts."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        lines = (lineno for lineno, row in enumerate(reader, start=2) if row)
-        return next(itertools.islice(lines, index, None))
-
-
-def _raise_first_bad_row(path: Path, d: int, reason: str) -> NoReturn:
-    """Re-read the rows one by one and raise for the first bad one."""
+def _numbered_rows(path: Path):
+    """(line number, fields) of each nonblank row below the header (line 1)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {d + 2} fields, got {len(row)}"
-                )
-            try:
-                v = int(row[0])
-                values = [float(c) for c in row[1:]]
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: {err}") from None
-            for c, value in zip(row[1:], values):
-                if not math.isfinite(value):
-                    raise ValueError(f"{path}:{lineno}: non-finite value {c!r}")
-            if v < 0:
-                raise ValueError(f"{path}:{lineno}: negative vertex id {v}")
+            if row:
+                yield lineno, row
+
+
+def _raise_first_bad_row(path: Path, d: int, reason: str) -> NoReturn:
+    """Re-read the rows one by one and raise for the first bad one."""
+    for lineno, row in _numbered_rows(path):
+        if len(row) != d + 2:
+            raise ValueError(
+                f"{path}:{lineno}: expected {d + 2} fields, got {len(row)}"
+            )
+        try:
+            v = int(row[0])
+            values = [float(c) for c in row[1:]]
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from None
+        for c, value in zip(row[1:], values):
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: non-finite value {c!r}")
+        if v < 0:
+            raise ValueError(f"{path}:{lineno}: negative vertex id {v}")
     raise ValueError(f"{path}: unreadable data rows: {reason}")
 
 

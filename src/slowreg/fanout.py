@@ -4,17 +4,17 @@
 run serially, without `os.fork` or `os.sched_getaffinity`, on a single
 allowed CPU, or for an input under `FORK_FLOOR_BYTES`, where a fork costs
 more than it saves. `fan_out` forks the children. Child i runs `work(i)`,
-which returns a picklable head and a contiguous array or None; the child
-writes the pickled head, then the array's raw bytes, down its own pipe and
-ends in `os._exit`. An exception raised by `work` is sent in place of the
-head and raised again in the parent when that head is read. A child's
-memory is its own, so it does not count in the parent's RSS.
+which returns one float64 array; the child writes its row count, as an
+int64, then its raw bytes down its own pipe and ends in `os._exit`. A
+child whose `work` raises sends nothing, so reading its share raises
+RuntimeError, as for a child that died; the caller reruns the job serially
+to get the error. A child's memory is its own, so it does not count in the
+parent's RSS.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import signal
 
 import numpy as np
@@ -42,18 +42,17 @@ class Share:
         self.pid = pid
         self.pipe = os.fdopen(fd, "rb")
 
-    def head(self):
-        """The child's head; raises the child's exception, or RuntimeError if it died."""
-        try:
-            error, head = pickle.load(self.pipe)
-        except Exception:  # no message, or a cut-off one
-            raise RuntimeError(f"worker process {self.pid} ended without a result") from None
-        if error is not None:
-            raise error
-        return head
+    def head(self) -> int:
+        """The row count the child sent; RuntimeError if it sent none."""
+        count = self.pipe.read(8)
+        if len(count) < 8:
+            raise RuntimeError(f"worker process {self.pid} ended without a result")
+        return int(np.frombuffer(count, dtype=np.int64)[0])
 
     def readinto(self, array: np.ndarray) -> None:
-        """Fill a contiguous array with the raw bytes the child sent after its head."""
+        """Fill a C-contiguous float64 array with the rows the child sent after its head."""
+        if not array.flags.c_contiguous:
+            raise ValueError("readinto needs a C-contiguous array")
         view = array.reshape(-1).view(np.uint8)
         while view.size:
             got = self.pipe.readinto(view)
@@ -117,23 +116,14 @@ def _pin(cpus: set[int]) -> None:
 
 
 def _child(fd: int, work, i: int, cpu: int):
-    """Run share i on `cpu` and write its result down `fd`; never returns."""
+    """Run share i on `cpu` and write its rows down `fd`; never returns."""
     code = 1
     try:
         _pin({cpu})
         with os.fdopen(fd, "wb") as out:
-            payload = None
-            try:
-                head, payload = work(i)
-                message = pickle.dumps((None, head))
-            except BaseException as exc:  # sent to the parent; the child only exits
-                try:
-                    message = pickle.dumps((exc, None))
-                except Exception:
-                    message = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), None))
-            out.write(message)
-            if payload is not None:
-                out.write(payload.reshape(-1).view(np.uint8))
+            rows = np.ascontiguousarray(work(i), dtype=np.float64)
+            out.write(np.int64(rows.shape[0]).tobytes())
+            out.write(rows.reshape(-1).view(np.uint8))
         code = 0
     finally:
         os._exit(code)

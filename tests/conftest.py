@@ -19,8 +19,7 @@ _SLOWREG_MODULES = {
 def original_slowreg_modules():
     """Put back the slowreg modules captured at import, so that a fresh copy
     left in `sys.modules` by an earlier test (the benchmark's tests import
-    slowreg from scratch) meets neither a dotted-path monkeypatch nor a
-    pickled exception class."""
+    slowreg from scratch) meets no dotted-path monkeypatch."""
     for name in [m for m in sys.modules if m == "slowreg" or m.startswith("slowreg.")]:
         if name not in _SLOWREG_MODULES:
             del sys.modules[name]

@@ -626,6 +626,22 @@ class TestForkedGridSearch:
             messages.append(str(info.value))
         assert messages == ["lambda_beta must be strictly positive and finite"] * 2
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_tied_scores_pick_the_first_pair(self, allow_cpus, forks, monkeypatch, cpus):
+        monkeypatch.setattr(bench, "_pooled_r2", lambda beta_mat, blocks: 0.25)
+        instance, budget = TestGridSearchMatchesReference.make("chain", 0)
+        allow_cpus(cpus)
+        res = grid_search(instance, budget, grid=INTERLEAVED_GRID, seed=0)
+        assert forks == ([] if cpus == 1 else [1])
+        assert [row["holdout_r2"] for row in res.table] == [0.25] * len(INTERLEAVED_GRID)
+        assert (res.lambda_beta, res.lambda_delta, res.holdout_r2) == (4.0, 1.0, 0.25)
+
+    def test_tied_scores_pick_the_first_static_weight(self, monkeypatch):
+        monkeypatch.setattr(bench, "_pooled_r2", lambda beta_mat, blocks: 0.25)
+        instance, _ = TestGridSearchMatchesReference.make("chain", 0)
+        first = lambda_beta_grid(float(np.mean(instance.row_counts)))[0]
+        assert bench.tune_static(instance, 3, seed=0) == (first, 0.25)
+
 
 def block_bytes(instance):
     return [a.tobytes() for a in instance.x_blocks + instance.y_blocks]
