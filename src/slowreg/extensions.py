@@ -42,7 +42,7 @@ def load(name: str):
     return module
 
 
-# scipy's LAPACK wrappers (slowreg calls dpotrf, dpotrs, dposv and dpbsv),
+# scipy's LAPACK wrappers (slowreg calls dposv, dpbsv and, in cho_factor, dpotrf),
 # loaded with slowreg: the libraries behind them (OpenBLAS, gfortran) keep
 # heap blocks from their load on, and loaded in the middle of a solve those
 # pin the top of the heap, so that glibc cannot return the solve's freed

@@ -60,10 +60,3 @@ class SimilarityGraph:
     def neighbors(self, vertex: int) -> tuple[int, ...]:
         """Sorted neighbours (index-ordered for reproducible sampling)."""
         return self._neighbors[vertex]
-
-    def is_chain(self) -> bool:
-        """True iff the edge set is exactly {(t, t+1) : 0 <= t < T-1}."""
-        if self.vertex_count == 1:
-            return len(self.edges) == 0
-        want = tuple((t, t + 1) for t in range(self.vertex_count - 1))
-        return self.edges == want

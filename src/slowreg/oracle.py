@@ -23,12 +23,14 @@ the cut is valid whatever x is and however accurately it was solved. At x =
 v0 of a binary z, (mu - M v0)_j = lambda_beta v0_j on the support, so the cut
 is tight there: its value at z is cost(z). Every gradient entry is <= 0.
 
-Chain graphs get a block-tridiagonal solve, one LAPACK dpbsv call on the
-banded system; anything else builds the restricted matrix densely and
-factors it with dpotrf (`blocktri.cho_factor`). Both paths agree to tight
-tolerance and are cross-checked in the test suite. A restricted system that
-is not positive definite in floating point raises `WeightError`, which
-names the weights. Neither reads a stored D x D block: each restricted
+Every graph gets the same restricted solve. In vertex order the system is
+block-banded: a diagonal block per vertex and a -lambda_delta coupling per
+edge, so one LAPACK dpbsv call solves it (`blocktri`). The band reaches as
+far as the graph's farthest edge in vertex order: on a chain it is block
+tridiagonal, and an edge (0, T-1) makes it full, as costly as a dense
+factorisation. A restricted system that is not positive definite in
+floating point, or whose solution is not finite, raises `WeightError`,
+which names the weights. No stored D x D block is read: each restricted
 diagonal block is formed from the X blocks at O(n_t * k_t^2) for k_t
 selected features and n_t rows at vertex t, and the cut's matvec costs
 O(sum_t n_t * D + |E| * D).
@@ -40,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocktri import cho_factor, cho_solve, solve_spd_block_tridiagonal
+# cho_factor is unused here, but perfbench/tracer.py wraps slowreg.oracle.cho_factor
+from .blocktri import cho_factor, solve_spd_block_tridiagonal  # noqa: F401
 from .problem import QuadForm, WeightError
 
 
@@ -63,42 +66,20 @@ def _selected(qf: QuadForm, zb: np.ndarray) -> list[np.ndarray]:
     return [row.nonzero()[0] for row in zb.reshape(qf.vertex_count, qf.feature_count)]
 
 
-def _chain_solve(qf: QuadForm, sel: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    """Restricted solve on a chain graph: the system is block tridiagonal."""
-    diag = [qf.diag_block(t, s) for t, s in enumerate(sel)]
-    sub = [np.equal.outer(b, a) * -qf.lambda_delta for a, b in zip(sel, sel[1:])]
-    return solve_spd_block_tridiagonal(diag, sub, rhs)
-
-
-def _generic_solve(qf: QuadForm, sel: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    """Restricted solve on any graph: assemble the system densely and factor it."""
-    T = qf.vertex_count
-    offsets = np.concatenate([[0], np.cumsum([len(s) for s in sel])])
-    a = np.zeros((rhs.size, rhs.size))
-    for t in range(T):
-        a[offsets[t]:offsets[t + 1], offsets[t]:offsets[t + 1]] = qf.diag_block(
-            t, sel[t]
-        )
-    for s, t in qf.graph.edges:
-        if len(sel[s]) == 0 or len(sel[t]) == 0:
-            continue
-        match = sel[t][:, None] == sel[s][None, :]
-        rows, cols = np.nonzero(match)
-        a[offsets[t] + rows, offsets[s] + cols] = -qf.lambda_delta
-        a[offsets[s] + cols, offsets[t] + rows] = -qf.lambda_delta
-    return cho_solve(cho_factor(a), rhs)
-
-
 def _solve_restricted(qf: QuadForm, zb: np.ndarray) -> np.ndarray:
     """v0 = (lambda_beta I + M_zz)^{-1} mu_z, embedded into (T*D,)."""
     v0 = np.zeros(zb.size)
     if not zb.any():
         return v0
     sel = _selected(qf, zb)
-    solve = _chain_solve if qf.graph.is_chain() else _generic_solve
+    diag = [qf.diag_block(t, s) for t, s in enumerate(sel)]
+    couplings = [
+        (s, t, np.equal.outer(sel[t], sel[s]) * -qf.lambda_delta)
+        for s, t in qf.graph.edges
+    ]
     try:
         # vertex-major with sorted sel[t], so the unknowns are in zb's order
-        v0[zb] = solve(qf, sel, qf.mu[zb])
+        v0[zb] = solve_spd_block_tridiagonal(diag, couplings, qf.mu[zb])
     except np.linalg.LinAlgError as exc:
         raise WeightError(
             f"lambda_beta={qf.lambda_beta:g} and lambda_delta={qf.lambda_delta:g} "

@@ -179,13 +179,20 @@ class QuadForm:
 
 
 def build_quadform(instance: ProblemInstance) -> QuadForm:
-    """The quadratic form of an instance: mu and const_term, O(sum_t n_t * D)."""
+    """The quadratic form of an instance: mu and const_term, O(sum_t n_t * D).
+
+    Raises ValueError naming the first vertex whose X'y or y'y is not finite.
+    """
     D = instance.feature_count
     mu = np.empty(instance.vertex_count * D)
     const = 0.0
     for t, (x, y) in enumerate(zip(instance.x_blocks, instance.y_blocks)):
-        mu[t * D:(t + 1) * D] = x.T @ y
-        const += float(y @ y)
+        mu_t = mu[t * D:(t + 1) * D]
+        mu_t[:] = x.T @ y
+        yy = float(y @ y)
+        if not (np.isfinite(mu_t).all() and math.isfinite(yy)):
+            raise ValueError(f"vertex {t}: X'y or y'y is not finite")
+        const += yy
     return QuadForm(
         graph=instance.graph,
         x_blocks=instance.x_blocks,

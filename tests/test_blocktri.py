@@ -1,36 +1,33 @@
 import numpy as np
 import pytest
 
-from slowreg.blocktri import cho_factor, cho_solve, solve_spd_block_tridiagonal
+from slowreg.blocktri import cho_factor, solve_spd_block_tridiagonal
+
+
+def random_block_banded(sizes, pairs, rng):
+    """SPD system with a coupling block per pair (s, t), diagonally dominant."""
+    couplings = [(s, t, rng.standard_normal((sizes[t], sizes[s]))) for s, t in pairs]
+    diag = []
+    for t, k in enumerate(sizes):
+        sym = rng.standard_normal((k, k))
+        dom = 1.0 + sum(np.abs(c).sum() for s, u, c in couplings if t in (s, u))
+        diag.append(sym @ sym.T + dom * np.eye(k))
+    return diag, couplings
 
 
 def random_block_tridiagonal(sizes, rng):
-    """SPD block-tridiagonal system built to be diagonally dominant."""
-    n = len(sizes)
-    sub = [rng.standard_normal((sizes[t + 1], sizes[t])) for t in range(n - 1)]
-    diag = []
-    for t in range(n):
-        k = sizes[t]
-        sym = rng.standard_normal((k, k))
-        sym = sym @ sym.T
-        dom = 1.0
-        if t > 0 and sizes[t - 1]:
-            dom += np.abs(sub[t - 1]).sum()
-        if t + 1 < n and sizes[t + 1]:
-            dom += np.abs(sub[t]).sum()
-        diag.append(sym + dom * np.eye(k))
-    return diag, sub
+    return random_block_banded(sizes, [(t, t + 1) for t in range(len(sizes) - 1)], rng)
 
 
-def dense_from_blocks(diag, sub):
+def dense_from_blocks(diag, couplings):
     sizes = [d.shape[0] for d in diag]
     off = np.concatenate([[0], np.cumsum(sizes)])
     a = np.zeros((off[-1], off[-1]))
     for t, d in enumerate(diag):
         a[off[t]:off[t + 1], off[t]:off[t + 1]] = d
-    for t, o in enumerate(sub):
-        a[off[t + 1]:off[t + 2], off[t]:off[t + 1]] = o
-        a[off[t]:off[t + 1], off[t + 1]:off[t + 2]] = o.T
+    for s, t, c in couplings:
+        a[off[t]:off[t + 1], off[s]:off[s + 1]] = c
+        a[off[s]:off[s + 1], off[t]:off[t + 1]] = c.T
     return a
 
 
@@ -45,10 +42,10 @@ def dense_from_blocks(diag, sub):
 ])
 def test_matches_dense_solve(sizes):
     rng = np.random.default_rng(sum(sizes) + len(sizes))
-    diag, sub = random_block_tridiagonal(sizes, rng)
-    a = dense_from_blocks(diag, sub)
+    diag, couplings = random_block_tridiagonal(sizes, rng)
+    a = dense_from_blocks(diag, couplings)
     b = rng.standard_normal(a.shape[0])
-    x = solve_spd_block_tridiagonal(diag, sub, b)
+    x = solve_spd_block_tridiagonal(diag, couplings, b)
     assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-10, atol=1e-12)
 
 
@@ -58,16 +55,22 @@ def test_random_sizes_bulk():
         sizes = [int(k) for k in rng.integers(0, 5, size=rng.integers(1, 8))]
         if sum(sizes) == 0:
             sizes[0] = 1
-        diag, sub = random_block_tridiagonal(sizes, rng)
-        a = dense_from_blocks(diag, sub)
+        n = len(sizes)
+        pairs = [(s, t) for s in range(n) for t in range(s + 1, n) if rng.random() < 0.4]
+        diag, couplings = random_block_banded(sizes, pairs, rng)
+        a = dense_from_blocks(diag, couplings)
         b = rng.standard_normal(a.shape[0])
-        x = solve_spd_block_tridiagonal(diag, sub, b)
+        x = solve_spd_block_tridiagonal(diag, couplings, b)
         assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-9, atol=1e-11)
 
 
 def test_rejects_mismatched_inputs():
     with pytest.raises(ValueError):
-        solve_spd_block_tridiagonal([np.eye(2)], [np.eye(2)], np.ones(2))
+        solve_spd_block_tridiagonal([np.eye(2)], [(0, 1, np.eye(2))], np.ones(2))
+    with pytest.raises(ValueError):
+        solve_spd_block_tridiagonal([np.eye(2)] * 2, [(1, 0, np.eye(2))], np.ones(4))
+    with pytest.raises(ValueError):
+        solve_spd_block_tridiagonal([np.eye(2)] * 2, [(0, 1, np.eye(3))], np.ones(4))
     with pytest.raises(ValueError):
         solve_spd_block_tridiagonal([np.eye(2)], [], np.ones(3))
 
@@ -82,19 +85,23 @@ def test_hundred_uneven_blocks_match_dense_solve():
     rng = np.random.default_rng(5)
     sizes = [int(k) for k in rng.integers(0, 6, size=100)]
     sizes[:3] = [5, 0, 5]
-    diag, sub = random_block_tridiagonal(sizes, rng)
-    a = dense_from_blocks(diag, sub)
+    diag, couplings = random_block_tridiagonal(sizes, rng)
+    a = dense_from_blocks(diag, couplings)
     b = rng.standard_normal(a.shape[0])
-    x = solve_spd_block_tridiagonal(diag, sub, b)
+    x = solve_spd_block_tridiagonal(diag, couplings, b)
     assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-10, atol=1e-12)
 
 
 def test_indefinite_system_raises():
     rng = np.random.default_rng(8)
-    diag, sub = random_block_tridiagonal([2, 3, 2], rng)
+    diag, couplings = random_block_tridiagonal([2, 3, 2], rng)
     diag[1] = diag[1] - 100.0 * np.eye(3)  # a negative pivot in the middle block
     with pytest.raises(np.linalg.LinAlgError):
-        solve_spd_block_tridiagonal(diag, sub, np.ones(7))
+        solve_spd_block_tridiagonal(diag, couplings, np.ones(7))
+    # a coupling between blocks 0 and 2 too strong for their diagonals
+    diag = [np.eye(2), np.eye(1), np.eye(2)]
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_spd_block_tridiagonal(diag, [(0, 2, 3.0 * np.eye(2))], np.ones(5))
 
 
 def test_dense_cholesky_solves_and_rejects_indefinite():
@@ -104,6 +111,24 @@ def test_dense_cholesky_solves_and_rejects_indefinite():
     b = rng.standard_normal(6)
     factor = cho_factor(a)
     assert np.allclose(factor, np.linalg.cholesky(a), rtol=1e-12, atol=1e-12)
-    assert np.allclose(cho_solve(factor, b), np.linalg.solve(a, b), rtol=1e-10)
+    x = np.linalg.solve(factor.T, np.linalg.solve(factor, b))
+    assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-10)
     with pytest.raises(np.linalg.LinAlgError):
         cho_factor(a - 100.0 * np.eye(6))
+
+
+@pytest.mark.parametrize("sizes, pairs", [
+    ([2, 3, 2], [(0, 2)]),                              # only a non-adjacent pair
+    ([2, 1, 3, 2], [(0, 1), (1, 2), (2, 3), (0, 3)]),   # a cycle: the full band
+    ([3, 2, 2, 1], [(0, 1), (0, 2), (0, 3)]),           # a star on block 0
+    ([0, 2, 3, 0, 2], [(0, 4), (1, 3), (1, 4)]),        # couplings to empty blocks
+    ([2, 2, 2], [(0, 1), (0, 2), (1, 2)]),              # a triangle
+])
+def test_non_adjacent_couplings_match_dense_solve(sizes, pairs):
+    rng = np.random.default_rng(sum(sizes) + 10 * len(pairs))
+    diag, couplings = random_block_banded(sizes, pairs, rng)
+    a = dense_from_blocks(diag, couplings)
+    b = rng.standard_normal(a.shape[0])
+    x = solve_spd_block_tridiagonal(diag, couplings, b)
+    assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-10, atol=1e-12)
+

@@ -2,12 +2,14 @@
 
 Three ways to make the restricted systems lambda_beta I + M_zz hard: two
 identical columns at every vertex, lambda_beta = 1e-12, and a design scaled
-by 1e6. On each, the chain solve (one dpbsv) and the generic solve (dpotrf
-and dpotrs) must agree with a dense `np.linalg.solve`, and the exact solver
+by 1e6. On each, the restricted solve (one banded dpbsv on every graph)
+must agree with a dense `np.linalg.solve`, and the exact solver
 must find the enumerated optimum or fail with a classified `WeightError`,
 never certify a worse support. At lambda_beta = 1e-6 (cut gradients near 1e7)
 both outcomes occur; unguarded, some of those runs certified a worse support.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -17,15 +19,24 @@ from slowreg import (
     SimilarityGraph,
     SparsityBudget,
     WeightError,
+    beta_star,
     build_quadform,
     solve_support_selection,
     stepwise_fit,
 )
-from slowreg.oracle import _chain_solve, _generic_solve, _selected
 
 from util import dense_coupled_reference, exhaustive_best_support, make_instance
 
 KINDS = ("duplicated columns", "lambda_beta 1e-12", "X scaled by 1e6")
+
+# T=6 graphs: a chain, two triangles, a star, and a cycle whose edge (0, 5)
+# makes the band full
+GRAPHS = {
+    "chain": SimilarityGraph.chain(6),
+    "triangles": SimilarityGraph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))),
+    "star": SimilarityGraph(6, tuple((0, t) for t in range(1, 6))),
+    "cycle": SimilarityGraph(6, ((0, 5),) + SimilarityGraph.chain(6).edges),
+}
 
 
 def ill_conditioned(kind, seed, T=3, D=4, N=8, graph=None):
@@ -43,22 +54,23 @@ def ill_conditioned(kind, seed, T=3, D=4, N=8, graph=None):
 @pytest.mark.parametrize("kind", KINDS)
 def test_chain_and_generic_solves_match_a_dense_solve(kind):
     rng = np.random.default_rng(7)
-    for seed in range(4):
-        instance = ill_conditioned(kind, seed, T=6, D=5, N=10)
+    for (name, graph), seed in itertools.product(GRAPHS.items(), range(4)):
+        instance = ill_conditioned(kind, seed, T=6, D=5, N=10, graph=graph)
         qf = build_quadform(instance)
         dense = dense_coupled_reference(instance)
         T, D = instance.vertex_count, instance.feature_count
         full = np.ones(T * D, dtype=bool)
-        # the full support holds both copies of the duplicated column
-        for z in [full] + [rng.random(T * D) < 0.6 for _ in range(6)]:
+        # the full support holds both copies of the duplicated column; the
+        # last support selects nothing at vertex 0, the hub of the star
+        supports = [full] + [rng.random(T * D) < 0.6 for _ in range(6)]
+        supports[-1][:D] = False
+        for z in supports:
             idx = np.flatnonzero(z)
             a = dense[np.ix_(idx, idx)] + instance.lambda_beta * np.eye(idx.size)
             expected = np.linalg.solve(a, qf.mu[idx])
-            sel = _selected(qf, z)
-            for solve in (_chain_solve, _generic_solve):
-                x = solve(qf, sel, qf.mu[idx])
-                err = np.linalg.norm(x - expected) / np.linalg.norm(expected)
-                assert err <= 1e-8, (solve.__name__, seed, err)
+            x = beta_star(qf, z)[idx]
+            err = np.linalg.norm(x - expected) / np.linalg.norm(expected)
+            assert err <= 1e-8, (name, seed, err)
 
 
 @pytest.mark.parametrize("kind", KINDS + ("lambda_beta 1e-6",))

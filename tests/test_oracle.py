@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -16,13 +17,14 @@ from slowreg import (
     evaluate,
     true_objective,
 )
-from slowreg.oracle import (
-    _chain_solve,
-    _generic_solve,
-    _selected,
-)
 
-from util import budget_patterns, make_instance, random_graph, restricted_cost_reference
+from util import (
+    budget_patterns,
+    dense_coupled_reference,
+    make_instance,
+    random_graph,
+    restricted_cost_reference,
+)
 
 TRIANGLE = SimilarityGraph(3, edges=((0, 1), (1, 2), (0, 2)))
 
@@ -89,27 +91,37 @@ class TestCost:
 
 
 class TestChainFastPath:
+    """On a chain the band is block tridiagonal; the solve matches a dense one."""
+
     @pytest.mark.parametrize("seed", range(6))
     def test_agrees_with_generic(self, seed):
-        inst = make_instance(T=5, D=4, N=6, seed=seed, lambda_delta=1.1)
+        T, D = 5, 4
+        inst = make_instance(T=T, D=D, N=6, seed=seed, lambda_delta=1.1)
+        dense = dense_coupled_reference(inst) + inst.lambda_beta * np.eye(T * D)
         qf = build_quadform(inst)
         rng = np.random.default_rng(seed + 50)
-        assert qf.graph.is_chain()
-        mu = qf.mu.reshape(5, 4)
         for _ in range(10):
-            z = rng.integers(0, 2, size=20).astype(bool)
+            z = rng.integers(0, 2, size=T * D).astype(bool)
             if not z.any():
                 continue
-            sel = _selected(qf, z)
-            rhs = np.concatenate([mu[t][sel[t]] for t in range(5)])
-            x_chain = _chain_solve(qf, sel, rhs)
-            x_generic = _generic_solve(qf, sel, rhs)
-            assert np.allclose(x_chain, x_generic, rtol=1e-10, atol=1e-12)
-            # a chain graph takes the chain path
-            assert np.array_equal(beta_star(qf, z)[z], x_chain)
+            rhs = qf.mu[z]
+            x = np.linalg.solve(dense[np.ix_(z, z)], rhs)
+            v0 = beta_star(qf, z)
+            assert np.allclose(v0[z], x, rtol=1e-10, atol=1e-12)
             assert eval_cost(qf, z) == pytest.approx(
-                -0.5 * float(rhs @ x_generic), rel=1e-10, abs=1e-13
+                -0.5 * float(rhs @ x), rel=1e-10, abs=1e-13
             )
+
+
+class TestNonFiniteData:
+    def test_non_finite_design_raises_weight_error_on_a_triangle(self):
+        inst = make_instance(T=3, D=3, N=5, seed=2, graph=TRIANGLE)
+        qf = build_quadform(inst)
+        x_blocks = (inst.x_blocks[0], inst.x_blocks[1].copy(), inst.x_blocks[2])
+        x_blocks[1][2, 1] = np.nan  # past build_quadform's check of mu
+        bad = dataclasses.replace(qf, x_blocks=x_blocks)
+        with pytest.raises(WeightError, match="lambda_beta=1 and lambda_delta=0.5"):
+            evaluate(bad, np.ones(9))
 
 
 class TestBetaStar:

@@ -27,20 +27,12 @@ class TestGraph:
     def test_chain_structure(self):
         g = SimilarityGraph.chain(4)
         assert g.edges == ((0, 1), (1, 2), (2, 3))
-        assert g.is_chain()
         assert list(g.degrees()) == [1, 2, 2, 1]
         assert g.neighbors(1) == (0, 2)
 
     def test_normalization_and_dedup(self):
         g = SimilarityGraph(3, ((2, 0), (0, 2), (1, 2)))
         assert g.edges == ((0, 2), (1, 2))
-
-    def test_single_vertex_is_chain(self):
-        assert SimilarityGraph(1).is_chain()
-
-    def test_non_chain(self):
-        assert not SimilarityGraph(3, ((0, 2),)).is_chain()
-        assert not SimilarityGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3))).is_chain()
 
     def test_rejects_bad_edges(self):
         with pytest.raises(ValueError):
@@ -162,6 +154,25 @@ class TestQuadForm:
             assert np.allclose(qf.mu[t * 4:(t + 1) * 4], x.T @ y, rtol=1e-12)
         fresh_const = sum(float(y @ y) for y in inst.y_blocks)
         assert qf.const_term == pytest.approx(fresh_const, rel=1e-12)
+
+    @pytest.mark.parametrize("graph", [
+        SimilarityGraph.chain(3), SimilarityGraph(3, ((0, 1), (0, 2), (1, 2))),
+    ], ids=["chain", "triangle"])
+    @pytest.mark.parametrize("block, value", [
+        ("x", np.nan), ("x", np.inf), ("y", np.nan), ("y", -np.inf),
+    ])
+    def test_non_finite_data_is_refused(self, graph, block, value):
+        inst = make_instance(T=3, D=4, N=5, seed=6, graph=graph)
+        xs, ys = list(inst.x_blocks), list(inst.y_blocks)
+        if block == "x":
+            xs[1] = xs[1].copy()
+            xs[1][3, 2] = value
+        else:
+            ys[1] = ys[1].copy()
+            ys[1][4] = value
+        bad = ProblemInstance(graph, tuple(xs), tuple(ys), 1.0, 0.5)
+        with pytest.raises(ValueError, match=r"^vertex 1: X'y or y'y is not finite$"):
+            build_quadform(bad)
 
 
 class TestGramFreeForm:
