@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 from numpy.lib.array_utils import byte_bounds
@@ -128,13 +128,7 @@ class MetricsReport:
     fit_time_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "mae_coefficients": self.mae_coefficients,
-            "oos_r2": self.oos_r2,
-            "support_recovered_pct": self.support_recovered_pct,
-            "false_positive_pct": self.false_positive_pct,
-            "fit_time_s": self.fit_time_s,
-        }
+        return asdict(self)
 
 
 def gen_graph_uniform(t: int, e: int, rng: np.random.Generator) -> SimilarityGraph:
@@ -833,17 +827,9 @@ def run_benchmark(
     return report
 
 
+_NOT_SCALAR = ("incumbent_z", "incumbent_beta", "history", "cuts")
+
+
 def solver_summary(res: SolveResult) -> dict:
-    """The JSON-safe slice of a SolveResult (no arrays, no trace)."""
-    return {
-        "status": res.status,
-        "upper_bound": res.upper_bound,
-        "lower_bound": res.lower_bound,
-        "objective_value": res.objective_value,
-        "objective_lower_bound": res.objective_lower_bound,
-        "relative_gap": res.relative_gap,
-        "objective_gap": res.objective_gap,
-        "node_count": res.node_count,
-        "cut_count": res.cut_count,
-        "wall_time": res.wall_time,
-    }
+    """The JSON-safe slice of a SolveResult: its scalar fields (no arrays, no trace)."""
+    return {f.name: getattr(res, f.name) for f in fields(res) if f.name not in _NOT_SCALAR}

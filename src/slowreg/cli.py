@@ -18,7 +18,9 @@ Reports are JSON documents with a fixed key set per command, sorted keys,
 a `version` field, and the resolved configuration for provenance.
 Exit codes: 0 success, 2 usage, 3 I/O, 4 infeasible budgets, 5 internal.
 Weights that are finite but so extreme that a solve fails in floating point
-(a `WeightError` or another LinAlgError) are a usage error.
+(a `WeightError` or another LinAlgError) are a usage error. On generated
+data the weights are tuned, not given, so its error names the generator's
+`sigma_v` and `xi` instead.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +47,7 @@ from .benchmark import (
 from .dataio import dump_dataset, read_data_csv, read_edge_list, read_metadata
 from .graph import SimilarityGraph
 from .master import SolveLimits, solve_support_selection
-from .problem import BudgetError, ProblemInstance, SparsityBudget, build_quadform
+from .problem import BudgetError, ProblemInstance, SparsityBudget, WeightError, build_quadform
 from .stepwise import stepwise_fit
 
 EXIT_OK = 0
@@ -366,11 +369,8 @@ def _dataset(ns):
 
 
 def _stepwise_block(fit) -> dict:
-    return {
-        "cost": fit.cost,
-        "removal_iterations": fit.removal_iterations,
-        "initial_union_size": fit.initial_union_size,
-    }
+    """The scalar fields of a StepwiseResult (all but its z and beta arrays)."""
+    return {f.name: getattr(fit, f.name) for f in fields(fit) if f.name not in ("z", "beta")}
 
 
 def _run_fit(ns) -> dict:
@@ -466,7 +466,15 @@ def main(argv=None) -> int:
     """Parse, run and report one command; returns the process exit code."""
     try:
         ns = parse_config(argv)
-        report = _RUNNERS[ns.command](ns)
+        try:
+            report = _RUNNERS[ns.command](ns)
+        except WeightError as exc:
+            if ns.params is None:
+                raise
+            raise UsageError(
+                f"{ns.command}: sigma_v={ns.params.sigma_v:g} and xi={ns.params.xi:g} "
+                f"give a response that the tuned weights cannot fit: {exc}"
+            ) from None
         _emit({"version": __version__, "command": ns.command,
                "config": _provenance(ns), **report}, ns.output)
         return EXIT_OK

@@ -8,14 +8,16 @@ oracle's dual cut eta >= intercept + gradient'z at the solution v0 of a
 binary anchor: valid on the whole box, so one pool serves every node, and
 tight at its anchor, whose bytes are the pool's dedupe key.
 
-A node is one step, `_Search.step`, with five outcomes. Its LP can be
+A node is one step, `_Search.step`, with four outcomes. Its LP can be
 `infeasible`, stop at the deadline (`time_limit`), come within the gap
 tolerance of the incumbent (`dominated`) or end at a fractional point
 (`branched`). An integral point goes to `separate`, the one place where a
 support meets the incumbent: a new support is evaluated once, competes for
 the incumbent, and adds its cut if its cost lies above eta, so the node
-re-solves in place; otherwise, as for an anchor, whose own cut holds eta at
-its cost, the node is `closed`. The warm start goes through `separate` too.
+re-solves in place; otherwise eta is within tolerance of a cost that is at
+least `upper`, as at an anchor, whose own cut holds eta at its cost, and the
+node is `dominated`. The incumbent keeps its evaluation's coefficients, and
+the warm start goes through `separate` too.
 
 A node is a heap entry (bound, seq, fixed, basis): its parent's LP value, a
 tie-breaking counter, one int8 per z column (-1 free, 0 or 1) and its
@@ -54,7 +56,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .highs import HIGHS_INFINITY, LPModel, LPResult, solve_boxed_lp
-from .oracle import beta_star, eval_gradient, evaluate
+# beta_star is unused here, but perfbench/tracer.py wraps slowreg.master.beta_star
+from .oracle import beta_star, eval_gradient, evaluate  # noqa: F401
 from .problem import (
     BudgetError, QuadForm, SparsityBudget, WeightError, check_feasible,
 )
@@ -133,7 +136,6 @@ class MasterProgram:
         self.z0 = 1
         self.s0 = 1 + t_count * d_count
         self.w0 = self.s0 + d_count
-        self.base_rows = t_count + t_count * d_count + 1 + 2 * e_count * d_count + 1
         self.eta_lower = -0.5 * float(qf.mu @ qf.mu) / qf.lambda_beta
         if not self.eta_lower > -HIGHS_INFINITY:
             raise WeightError(
@@ -150,6 +152,7 @@ class MasterProgram:
         upper[0] = np.inf
         self.lp = LPModel(c, lower, upper, deadline=deadline)
         self.lp.add_rows(*self._base_rows())
+        self.base_rows = self.lp.m
         self._z_cols = np.arange(self.z0, self.s0, dtype=np.int32)
 
         self.cuts: dict[bytes, Cut] = {}  # keyed by the anchor's bytes
@@ -181,7 +184,6 @@ class MasterProgram:
         cols = np.concatenate([cols for cols, _, _, _ in blocks]).astype(np.int32)
         vals = np.concatenate([vals for _, vals, _, _ in blocks])
         rhs = np.concatenate([rhs for _, _, _, rhs in blocks])
-        assert rhs.size == self.base_rows
         return starts, cols, vals, rhs
 
     def add_cut(self, anchor: np.ndarray, intercept: float, gradient: np.ndarray) -> bool:
@@ -207,14 +209,10 @@ class MasterProgram:
                            (fixed != 0).astype(np.float64))
 
 
-def branch_variable(z_values: np.ndarray) -> int:
-    """Most fractional coordinate, ties to the lowest index."""
-    score = np.abs(z_values - 0.5)
-    j = int(np.argmin(score))
-    frac = abs(z_values[j] - round(z_values[j]))
-    if frac <= _INT_TOL:
-        raise ValueError("cannot branch: the point is already integral")
-    return j
+def branch_variable(z_values: np.ndarray) -> int | None:
+    """Most fractional coordinate, ties to the lowest index; None if integral."""
+    j = int(np.argmin(np.abs(z_values - 0.5)))
+    return None if abs(z_values[j] - round(z_values[j])) <= _INT_TOL else j
 
 
 def _relative_gap(upper: float, lower: float) -> float:
@@ -232,6 +230,7 @@ class _Search:
         self.mp = MasterProgram(qf, budget, deadline=self.deadline)
         self.gap_tol, self.cut_tol = limits.gap_tol, min(1e-6, limits.gap_tol)
         self.incumbent: np.ndarray | None = None
+        self.incumbent_beta: np.ndarray | None = None
         self.upper = np.inf
         self.history: list[tuple[float, float, float]] = []
 
@@ -249,26 +248,27 @@ class _Search:
             return False
         ev = evaluate(qf, zb)
         if ev.cost < self.upper:
-            self.incumbent, self.upper = zb, ev.cost
+            self.incumbent, self.incumbent_beta, self.upper = zb, ev.v0, ev.cost
         if ev.cost <= eta + self.cut_tol:
             return False
         return self.mp.add_cut(zb, *eval_gradient(qf, ev.v0))
 
-    def step(self, fixed: np.ndarray, start) -> tuple[str, LPResult]:
-        """Solve one node to its outcome, re-solving in place after each cut."""
+    def step(self, fixed: np.ndarray, start) -> tuple[str, LPResult, int | None]:
+        """Solve one node to its outcome (and branching variable), re-solving after each cut."""
         mp = self.mp
         mp.fix(fixed)
         while True:
             res = solve_boxed_lp(mp.lp, start=start)
             if res.status != "optimal":
-                return res.status, res
+                return res.status, res, None
             if _relative_gap(self.upper, res.objective) <= self.gap_tol:
-                return "dominated", res
+                return "dominated", res, None
             z_values = res.x[mp.z0 : mp.s0]
-            if np.max(np.abs(z_values - np.round(z_values))) > _INT_TOL:
-                return "branched", res
+            j = branch_variable(z_values)
+            if j is not None:
+                return "branched", res, j
             if not self.separate(np.round(z_values) != 0.0, float(res.x[0])):
-                return "closed", res
+                return "dominated", res, None
             start = res.state
 
     def record(self, lower: float) -> None:
@@ -322,9 +322,8 @@ def solve_support_selection(
 
         _, _, fixed, start = heapq.heappop(heap)
         node_count += 1
-        outcome, res = search.step(fixed, start)
+        outcome, res, j = search.step(fixed, start)
         if outcome == "branched":
-            j = branch_variable(res.x[mp.z0 : mp.s0])
             for value in (0, 1):
                 child = fixed.copy()
                 child[j] = value
@@ -335,13 +334,12 @@ def solve_support_selection(
             break
     search.record(lower)  # a node LP stopped at the deadline may have moved upper
 
-    beta = None if search.incumbent is None else beta_star(qf, search.incumbent)
     objective = qf.const_term + 2.0 * search.upper  # inf without an incumbent
     objective_lower = qf.const_term + 2.0 * lower
     return SolveResult(
         status=status,
         incumbent_z=search.incumbent,
-        incumbent_beta=beta,
+        incumbent_beta=search.incumbent_beta,
         upper_bound=search.upper,
         lower_bound=lower,
         objective_value=objective,

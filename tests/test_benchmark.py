@@ -969,6 +969,24 @@ class TestRunBenchmark:
         assert solver["status"] in ("optimal", "time_limit")
         assert solver["lower_bound"] <= solver["upper_bound"] + 1e-9
 
+    def test_solver_summary_is_the_scalar_fields(self):
+        instance = make_instance(T=2, D=3, N=6, seed=41)
+        qf = build_quadform(instance)
+        res = bench.solve_support_selection(qf, SparsityBudget(1, 2, 1))
+        summary = bench.solver_summary(res)
+        assert list(summary) == [
+            "status", "upper_bound", "lower_bound", "objective_value",
+            "objective_lower_bound", "relative_gap", "objective_gap",
+            "node_count", "cut_count", "wall_time",
+        ]
+        assert summary == {key: getattr(res, key) for key in summary}
+        ds = make_synthetic_dataset(temporal_params(t=2, d=3))
+        metrics = compute_metrics(ds.beta_true, ds.z_true, ds)
+        assert list(metrics.to_dict()) == [
+            "mae_coefficients", "oos_r2", "support_recovered_pct",
+            "false_positive_pct", "fit_time_s",
+        ]
+
     def test_deterministic_given_seed(self):
         p = temporal_params(n=30, t=3, d=5, k_l=1, k_c=0, seed=39)
         a = run_benchmark(make_synthetic_dataset(p), time_limit=30.0)

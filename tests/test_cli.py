@@ -371,6 +371,17 @@ class TestExitCodes:
         assert "synth: sigma_v=0 and xi=1e-150 give a response whose X'y" in err
         assert "numerically unsolvable weights" not in err
 
+    def test_generated_response_past_the_cut_guard_names_xi(self, tmp_path, capsys):
+        # the root bound is inside the LP's range, so the generator passes
+        # xi=1e-8, and the master's cut guard fires on the tuned weights
+        argv = ["synth", "--n", "4", "--t", "3", "--d", "3", "--kl", "1", "--kc", "1",
+                "--xi", "1e-8", "--output", str(tmp_path / "synth.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "synth: sigma_v=0 and xi=1e-08 give a response" in err
+        assert "below a cut it holds" in err
+        assert "numerically unsolvable weights" not in err
+
     def test_large_chain_fit_needs_no_dense_master(self, tmp_path):
         # T=100, D=200 chain: a dense master array would take 17.8 GiB, which
         # the sparse master does not allocate; two rows per vertex are enough

@@ -16,12 +16,14 @@ from slowreg import (
     BudgetError,
     SimilarityGraph,
     SparsityBudget,
+    beta_star,
     build_quadform,
     check_feasible,
     eval_cost,
     eval_gradient,
     evaluate,
     stepwise_fit,
+    support_change_count,
     true_objective,
 )
 from slowreg import master
@@ -177,9 +179,10 @@ class TestBranchVariable:
     def test_tie_goes_low(self):
         assert branch_variable(np.array([0.4, 0.6, 0.4])) == 0
 
-    def test_integral_raises(self):
-        with pytest.raises(ValueError):
-            branch_variable(np.array([0.0, 1.0, 1.0]))
+    def test_integral_returns_none(self):
+        assert branch_variable(np.array([0.0, 1.0, 1.0])) is None
+        assert branch_variable(np.array([1e-7, 1.0 - 1e-7])) is None
+        assert branch_variable(np.array([0.0, 1e-5])) == 1
 
 
 class TestSolverExactness:
@@ -209,6 +212,22 @@ class TestSolverExactness:
         assert eval_cost(qf, res.incumbent_z) == pytest.approx(
             res.upper_bound, abs=1e-9
         )
+
+    @pytest.mark.parametrize("k_c", [10, 12, 16])
+    def test_change_budget_past_twice_k_l_t(self, k_c):
+        # the complete graph on T=5 has 10 edges, so K_C can reach past
+        # 2*K_L*T = 10: the optimum at K_C=16 makes 16 changes
+        graph = SimilarityGraph(5, tuple(itertools.combinations(range(5), 2)))
+        instance = make_instance(T=5, D=3, N=8, seed=1, graph=graph)
+        qf = build_quadform(instance)
+        budget = SparsityBudget(max_per_vertex=1, max_global=3, max_changes=k_c)
+        best_cost, _ = exhaustive_best_support(instance, 1, 3, k_c)
+        res = solve_support_selection(qf, budget, limits=TIGHT)
+        assert res.status == "optimal"
+        assert res.upper_bound == pytest.approx(best_cost, abs=1e-8)
+        assert check_feasible(res.incumbent_z, budget, graph)
+        if k_c > 10:
+            assert support_change_count(res.incumbent_z.reshape(5, 3), graph) > 10
 
     @pytest.mark.parametrize(
         "t,d,edges", [(3, 3, [(0, 1), (1, 2)]), (4, 3, [(0, 2), (1, 3), (2, 3), (0, 3)])]
@@ -579,6 +598,58 @@ class TestIncumbent:
             best_cost, best_z = min(evaluated, key=lambda e: e[0])
             assert res.upper_bound == best_cost
             assert np.array_equal(res.incumbent_z, best_z)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_incumbent_beta_is_beta_star(self, seed):
+        # the coefficients come from the evaluation that made the incumbent,
+        # so they are the bytes a fresh restricted solve gives
+        instance, budget, warm_z = weak_setup(seed, ("temporal", "spatial")[seed % 2])
+        qf = build_quadform(instance)
+        capped = solve_support_selection(qf, budget, warm_start=warm_z,
+                                         limits=SolveLimits(max_nodes=30))
+        _, small_qf, small_budget = small_setup(seed, 2, 3, 2)
+        certified = solve_support_selection(small_qf, small_budget, limits=TIGHT)
+        assert (capped.status, certified.status) == ("node_limit", "optimal")
+        for q, res in ((qf, capped), (small_qf, certified)):
+            assert res.incumbent_beta.tobytes() == beta_star(q, res.incumbent_z).tobytes()
+
+
+class TestNodeOutcomes:
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("edges", [[(0, 1), (1, 2)], [(0, 1), (1, 2), (0, 2)]])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_node_ends_in_one_of_four_outcomes(self, seed, edges, warm, monkeypatch):
+        outcomes = []
+        step = master._Search.step
+
+        def recording(self, fixed, start):
+            out = step(self, fixed, start)
+            outcomes.append(out[0])
+            return out
+
+        monkeypatch.setattr(master._Search, "step", recording)
+        graph = SimilarityGraph(vertex_count=3, edges=tuple(edges))
+        instance = make_instance(T=3, D=4, N=9, seed=seed, graph=graph, lambda_delta=0.7)
+        budget = SparsityBudget(max_per_vertex=2, max_global=3, max_changes=2)
+        warm_z = stepwise_fit(instance, budget, seed=seed).z if warm else None
+        res = solve_support_selection(build_quadform(instance), budget,
+                                      warm_start=warm_z, limits=TIGHT)
+        assert res.status == "optimal"
+        assert len(outcomes) == res.node_count
+        assert set(outcomes) <= {"infeasible", "time_limit", "dominated", "branched"}
+
+    def test_an_anchor_whose_cut_holds_is_dominated(self):
+        # the anchor's cut is in the pool but the support never competed, so
+        # only the integral route through `separate` can end the node
+        _, qf, budget = small_setup(5)
+        anchor = np.zeros(8, dtype=bool)
+        anchor[[1, 5]] = True
+        search = master._Search(qf, budget, TIGHT)
+        search.mp.add_cut(anchor, *eval_gradient(qf, evaluate(qf, anchor).v0))
+        outcome, res, j = search.step(anchor.astype(np.int8), None)
+        assert (outcome, j) == ("dominated", None)
+        assert search.incumbent is None and search.upper == np.inf
+        assert res.objective == pytest.approx(evaluate(qf, anchor).cost, abs=1e-9)
 
 
 class TestWarmNodeLPs:

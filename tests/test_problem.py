@@ -242,9 +242,13 @@ class TestBudgets:
             SparsityBudget(0, 1, 0).validate(vertex_count=2, feature_count=5)
         with pytest.raises(BudgetError):
             SparsityBudget(2, 2, -1).validate(vertex_count=2, feature_count=5)
-        with pytest.raises(BudgetError):
-            SparsityBudget(2, 2, 9).validate(vertex_count=2, feature_count=5)
         SparsityBudget(2, 3, 8).validate(vertex_count=2, feature_count=5)
+
+    def test_change_budget_has_no_upper_bound(self):
+        # changes are summed over edges, so they can pass 2*K_L*T on a graph
+        # with more edges than vertices; a K_C beyond reach does not bind
+        SparsityBudget(2, 2, 9).validate(vertex_count=2, feature_count=5)
+        SparsityBudget(1, 3, 10**6).validate(vertex_count=5, feature_count=3)
 
     def test_check_feasible_trivial_cases(self):
         g = SimilarityGraph.chain(2)
