@@ -22,7 +22,6 @@ from numpy.lib.array_utils import byte_bounds
 
 from . import fanout
 from .graph import SimilarityGraph
-from .highs import HIGHS_INFINITY
 from .master import SolveLimits, SolveResult, solve_support_selection
 from .problem import (
     ProblemInstance,
@@ -351,8 +350,8 @@ def make_synthetic_dataset(params: SynthParams) -> SynthDataset:
     coefficients, then the training design and its noise, then the test
     design and its noise), so every array is reproducible from the seed.
     Raises ValueError, naming sigma_v and xi, when the response's sum of
-    squares is not finite, or when its X'y puts the exact solver's root
-    bound at the tuning grid's weakest lambda_beta past `HIGHS_INFINITY`.
+    squares is not finite. A response the exact solver cannot bound is
+    refused where that solver builds its master program.
     """
     rng = np.random.default_rng(params.seed)
     if params.mode == "temporal":
@@ -369,32 +368,20 @@ def make_synthetic_dataset(params: SynthParams) -> SynthDataset:
     x_test = gen_x(params, rng)
     signal_test = np.einsum("nvd,vd->nv", x_test, beta_mat)
     y_test = add_noise(signal_test, params.xi, rng)
-    anchor = float(params.n)
-    weakest = min(lambda_beta_grid(anchor))
     with np.errstate(over="ignore", invalid="ignore"):
         squares = float(np.vdot(y_train, y_train)) + float(np.vdot(y_test, y_test))
-        # minus the exact solver's root bound at the grid's weakest lambda_beta
-        mu = np.einsum("nvd,nv->vd", x_train, y_train)
-        root = 0.5 * float(np.vdot(mu, mu)) / weakest
     if not math.isfinite(squares):
         raise ValueError(
             f"sigma_v={params.sigma_v:g} and xi={params.xi:g} give a response "
             "whose sum of squares is not finite"
-        )
-    if not root < HIGHS_INFINITY:
-        raise ValueError(
-            f"sigma_v={params.sigma_v:g} and xi={params.xi:g} give a response "
-            f"whose X'y puts the root bound -mu'mu / (2 lambda_beta) at -{root:.3g} "
-            f"for the tuning grid's lambda_beta={weakest:g}, which the LP solver "
-            "reads as unbounded"
         )
 
     instance = ProblemInstance(
         graph=graph,
         x_blocks=tuple(x_train[:, v, :] for v in range(params.t)),
         y_blocks=tuple(y_train[:, v] for v in range(params.t)),
-        lambda_beta=anchor,
-        lambda_delta=anchor,
+        lambda_beta=float(params.n),
+        lambda_delta=float(params.n),
     )
     test_blocks = tuple(
         (x_test[:, v, :], y_test[:, v]) for v in range(params.t)

@@ -87,11 +87,12 @@ _BOOL_WORDS = {
 
 # the report's `config` block: these keys for every command, then the data
 # inputs or the synthetic parameters (`params_*`), then the command's own
-_COMMON_KEYS = ("command", "seed", "time_limit", "gap_tol", "output", "omit_timings")
+_COMMON_KEYS = ("command", "seed", "output")
+_SOLVER_KEYS = ("time_limit", "gap_tol", "omit_timings")
 _DATA_KEYS = ("data", "graph", "chain", "kl", "kg", "kc", "standardize")
 _COMMAND_KEYS = {
-    "fit": ("lambda_beta", "lambda_delta", "grid"),
-    "synth": ("methods", "dump_data"),
+    "fit": ("lambda_beta", "lambda_delta", "grid") + _SOLVER_KEYS,
+    "synth": ("methods", "dump_data") + _SOLVER_KEYS,
     "gridsearch": ("holdout",),
 }
 
@@ -110,11 +111,13 @@ def _build_parser():
         p.add_argument("--config", help="flat key=value file presetting any flag")
         p.add_argument("--seed", type=nonnegative_int, default=0,
                        help="RNG seed (default %(default)s)")
+        p.add_argument("--output", help="write the JSON report here instead of stdout")
+
+    def solver(p):
         p.add_argument("--time-limit", type=finite_float, default=SolveLimits.time_limit,
                        help="solver wall-clock budget in seconds (default %(default)g)")
         p.add_argument("--gap-tol", type=finite_float, default=SolveLimits.gap_tol,
                        help="relative optimality gap target (default %(default)g)")
-        p.add_argument("--output", help="write the JSON report here instead of stdout")
         p.add_argument("--omit-timings", action="store_true",
                        help="zero out wall-clock fields for reproducible output")
 
@@ -156,6 +159,7 @@ def _build_parser():
                        help="smoothness weight; without both weights, fit tunes "
                             "them by holdout grid search")
     common(p_fit)
+    solver(p_fit)
 
     p_synth = sub.add_parser("synth", help="generate and benchmark a synthetic dataset")
     synth_inputs(p_synth)
@@ -165,6 +169,7 @@ def _build_parser():
     p_synth.add_argument("--dump-data",
                          help="also write train/test/beta/graph/meta files with this prefix")
     common(p_synth)
+    solver(p_synth)
 
     p_gs = sub.add_parser("gridsearch", help="holdout tuning table")
     data_inputs(p_gs)
@@ -255,12 +260,13 @@ def parse_config(argv=None) -> argparse.Namespace:
         )
         ns = parser.parse_args(argv)
 
-    if ns.time_limit < 0.0:
+    if ns.command == "gridsearch":
+        if not 0.0 < ns.holdout < 1.0:
+            raise UsageError("gridsearch: --holdout must lie strictly between 0 and 1")
+    elif ns.time_limit < 0.0:
         raise UsageError("--time-limit must be nonnegative")
-    if not ns.gap_tol > 0.0:
+    elif not ns.gap_tol > 0.0:
         raise UsageError("--gap-tol must be positive")
-    if ns.command == "gridsearch" and not 0.0 < ns.holdout < 1.0:
-        raise UsageError("gridsearch: --holdout must lie strictly between 0 and 1")
     # gridsearch runs on --data when it is given, on a synthetic dataset otherwise
     if ns.command == "synth" or (ns.command == "gridsearch" and not ns.data):
         ns.params = _synth_params(ns)

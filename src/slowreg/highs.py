@@ -4,12 +4,12 @@ The one input is an `LPModel`, one HiGHS model built from costs and column
 bounds, with rows appended in compressed form; nothing validates it, so a
 program the caller leaves unbounded ends in a raise. The tree search keeps
 one model per solve, adds cut rows and changes column bounds between node
-LPs, and runs each through `solve_boxed_lp`. A start is the `state`
-of an earlier result; rows added since enter basic. A start that the model
-still holds (a cut re-solve, or a child right after its parent) is not set
-again, so HiGHS keeps its factorization. A start with other columns or more
-rows is not used (`warm` is False); a fresh model then starts from the slack
-basis. Optimal, infeasible and `time_limit` (at the model's deadline) are
+LPs, and runs each through `solve_boxed_lp`. A start is the `state` of an
+earlier result: its basis and the column and row counts it was made for;
+rows added since enter basic. A start that the model still holds (a cut
+re-solve, or a child right after its parent) is not set again, so HiGHS
+keeps its factorization. A start with other columns or more rows is not
+used (`warm` is False); a fresh model then starts from the slack basis. Optimal, infeasible and `time_limit` (at the model's deadline) are
 the outcomes; any other HiGHS status raises. A model asks for one thread,
 and for HiGHS's own choice when the process already runs HiGHS's shared
 scheduler with another thread count.
@@ -45,7 +45,7 @@ class LPResult:
         self.x = x
         self.objective = objective
         self.iterations = iterations  # HiGHS simplex iterations of this run
-        self.state = state            # the final HiGHS basis
+        self.state = state            # (final HiGHS basis, its column and row counts)
         self.warm = warm              # the given start was used
         self.duals = duals
 
@@ -81,12 +81,12 @@ class LPModel:
         self._check(self.highs.changeColsBounds(cols.size, cols, lower, upper))
 
     def _install(self, start) -> bool:
-        col_status, row_status = start.col_status, start.row_status
-        extra = self.m - len(row_status)
-        if len(col_status) != self.n or extra < 0:
+        basis, cols, rows = start
+        extra = self.m - rows
+        if cols != self.n or extra < 0:
             return False
-        basis = start
         if extra:
+            col_status, row_status = basis.col_status, basis.row_status
             basis = self._core.HighsBasis()
             basis.valid, basis.alien = True, False
             basis.col_status = col_status
@@ -111,7 +111,7 @@ class LPModel:
         iterations = highs.getInfoValue("simplex_iteration_count")[1]
         if status == statuses.kOptimal:
             solution = highs.getSolution()
-            self._held = highs.getBasis()
+            self._held = (highs.getBasis(), self.n, self.m)
             return LPResult(
                 "optimal", np.array(solution.col_value), highs.getObjectiveValue(),
                 iterations, self._held, warm, np.array(solution.row_dual),

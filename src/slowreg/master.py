@@ -24,7 +24,8 @@ tie-breaking counter, one int8 per z column (-1 free, 0 or 1) and its
 parent's final basis. Nodes are explored best bound first, so a popped node
 holds the least open bound, which the gap test before the pop found open: it
 is never dominated. That test, `_relative_gap(upper, bound) <= gap_tol`, is
-the one closing rule, for a node LP value too; a dry heap gives lower = upper.
+the one closing rule, for a node LP value too; lower is the least of the open
+bounds, `upper` and the LP values of the nodes closed as `dominated`.
 
 All node LPs of one solve run on one HiGHS model (`highs.LPModel`): the
 base rows go in once, sparse, a cut is one more row, and a node's fixings
@@ -50,6 +51,7 @@ w_{e,d} at 1 + T*D + D + e*D + d. All rows are <= rows.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -216,7 +218,7 @@ def branch_variable(z_values: np.ndarray) -> int | None:
 
 
 def _relative_gap(upper: float, lower: float) -> float:
-    if not np.isfinite(upper):
+    if not math.isfinite(upper):
         return np.inf
     return max(0.0, upper - lower) / max(1.0, abs(upper))
 
@@ -232,6 +234,7 @@ class _Search:
         self.incumbent: np.ndarray | None = None
         self.incumbent_beta: np.ndarray | None = None
         self.upper = np.inf
+        self.dominated = np.inf  # least LP value of the nodes closed as dominated
         self.history: list[tuple[float, float, float]] = []
 
     def separate(self, zb: np.ndarray, eta: float) -> bool:
@@ -262,14 +265,16 @@ class _Search:
             if res.status != "optimal":
                 return res.status, res, None
             if _relative_gap(self.upper, res.objective) <= self.gap_tol:
-                return "dominated", res, None
+                break
             z_values = res.x[mp.z0 : mp.s0]
             j = branch_variable(z_values)
             if j is not None:
                 return "branched", res, j
             if not self.separate(np.round(z_values) != 0.0, float(res.x[0])):
-                return "dominated", res, None
+                break
             start = res.state
+        self.dominated = min(self.dominated, res.objective)
+        return "dominated", res, None
 
     def record(self, lower: float) -> None:
         """Add (seconds, lower, upper) to the history when a bound moved."""
@@ -306,7 +311,7 @@ def solve_support_selection(
     heap = [(mp.eta_lower, seq, np.full(td, -1, dtype=np.int8), None)]
     node_count = 0
     while True:
-        lower = min(heap[0][0], search.upper) if heap else search.upper
+        lower = min(heap[0][0] if heap else np.inf, search.dominated, search.upper)
         search.record(lower)
         if _relative_gap(search.upper, lower) <= limits.gap_tol:
             status = "optimal"

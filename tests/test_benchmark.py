@@ -35,6 +35,7 @@ from slowreg import (
 )
 import slowreg.benchmark as bench
 from slowreg.benchmark import noise_variance
+from slowreg.master import MasterProgram
 from slowreg.stepwise import greedy_start
 
 from util import graph_of_kind, grid_search_reference, make_instance, random_graph
@@ -939,15 +940,18 @@ class TestDatasetAssembly:
             make_synthetic_dataset(params)
 
 
-    def test_response_past_the_lp_range_is_refused_naming_xi(self):
-        # y'y is finite, but 0.5 mu'mu / lambda_beta at the grid's weakest
-        # lambda_beta (n * 3**-6) passes HiGHS's infinite bound
+    def test_response_past_the_lp_range_is_left_to_the_exact_solver(self):
+        # y'y is finite, so the generator passes; 0.5 mu'mu / lambda_beta at
+        # the grid's weakest lambda_beta (n * 3**-6) passes HiGHS's infinite
+        # bound, which only the exact solver's master program refuses
         params = temporal_params(n=4, t=3, d=3, k_l=1, k_c=1, xi=1e-150)
-        with pytest.raises(ValueError, match=(
-            r"sigma_v=0.1 and xi=1e-150 give a response whose X'y puts the root "
-            r"bound .* for the tuning grid's lambda_beta=0.00548697"
+        dataset = make_synthetic_dataset(params)
+        weakest = dataset.instance.with_weights(min(lambda_beta_grid(4.0)), 4.0)
+        with pytest.raises(WeightError, match=(
+            r"lambda_beta=0.00548697 .* put the root bound .* which the LP solver "
+            r"reads as unbounded"
         )):
-            make_synthetic_dataset(params)
+            MasterProgram(build_quadform(weakest), solver_budget(dataset))
 
 
 class TestRunBenchmark:

@@ -115,6 +115,8 @@ class TestExitCodes:
             ("negative_time_limit", "--time-limit must be nonnegative"),
             ("zero_gap_tol", "--gap-tol must be positive"),
             ("holdout_one", "--holdout must lie strictly between 0 and 1"),
+            ("gridsearch_time_limit", "unrecognized arguments: --time-limit 5"),
+            ("gridsearch_gap_tol_config", "unknown config key 'gap_tol' for this command"),
             ("lambda_beta_alone", "give both --lambda-beta and --lambda-delta"),
             ("zero_lambda_beta", "lambda-beta must be positive"),
             ("spatial_without_kg", "--mode spatial: missing required --kg"),
@@ -129,7 +131,8 @@ class TestExitCodes:
         synth = ["synth", "--n", "12", "--t", "3", "--d", "5", "--kl", "2"]
         fit = fit_argv(data, graph, tmp_path / "report.json")
         config = tmp_path / "run.cfg"
-        config.write_text("methods=\n" if case == "empty_methods_config" else "bogus=1\n")
+        config.write_text({"empty_methods_config": "methods=\n",
+                           "gridsearch_gap_tol_config": "gap_tol=0.001\n"}.get(case, "bogus=1\n"))
         argv = {
             "missing_kl": base + ["--kg", "3", "--kc", "4"],
             "graph_and_chain": base + budgets + ["--chain"],
@@ -141,6 +144,8 @@ class TestExitCodes:
             "negative_time_limit": fit + ["--time-limit", "-1"],
             "zero_gap_tol": fit + ["--gap-tol", "0"],
             "holdout_one": base + budgets + ["--holdout", "1"],
+            "gridsearch_time_limit": base + budgets + ["--time-limit", "5"],
+            "gridsearch_gap_tol_config": base + budgets + ["--config", str(config)],
             "lambda_beta_alone": ["fit", "--data", data, "--graph", graph, *budgets,
                                   "--lambda-beta", "5.0"],
             "zero_lambda_beta": fit + ["--lambda-beta", "0"],
@@ -364,12 +369,18 @@ class TestExitCodes:
     def test_synthetic_response_past_the_lp_range_exits_2_naming_xi(
         self, tmp_path, capsys, methods
     ):
+        # the exact solver refuses a root bound past HiGHS's infinite bound
+        # at a tuned lambda_beta; the static method runs no LP and fits it
         argv = ["synth", "--n", "4", "--t", "3", "--d", "3", "--kl", "1", "--kc", "1",
                 "--xi", "1e-150", "--output", str(tmp_path / "synth.json"), *methods]
+        if methods:
+            assert main(argv) == 0
+            return
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "synth: sigma_v=0 and xi=1e-150 give a response whose X'y" in err
-        assert "numerically unsolvable weights" not in err
+        assert ("synth: sigma_v=0 and xi=1e-150 give a response that the tuned "
+                "weights cannot fit: ") in err
+        assert "which the LP solver reads as unbounded" in err
 
     def test_generated_response_past_the_cut_guard_names_xi(self, tmp_path, capsys):
         # the root bound is inside the LP's range, so the generator passes
@@ -491,11 +502,11 @@ class TestFanOutReports:
         out = tmp_path / "report.json"
         argv = {
             "gridsearch": gridsearch_argv(data, graph) + ["--seed", "2"],
-            "fit": ["fit", "--data", data, "--graph", graph,
-                    "--kl", "2", "--kg", "3", "--kc", "4", "--seed", "5"],
-            "synth": ["synth", "--n", "10", "--t", "3", "--d", "5", "--kl", "2",
-                      "--kc", "2", "--seed", "1", "--methods", "static,stepwise"],
-        }[command] + ["--omit-timings", "--output", str(out)]
+            "fit": ["fit", "--data", data, "--graph", graph, "--kl", "2", "--kg", "3",
+                    "--kc", "4", "--seed", "5", "--omit-timings"],
+            "synth": ["synth", "--n", "10", "--t", "3", "--d", "5", "--kl", "2", "--kc", "2",
+                      "--seed", "1", "--methods", "static,stepwise", "--omit-timings"],
+        }[command] + ["--output", str(out)]
         reports = []
         # a tuned fit also runs the exact solver, so it is read at 1 and 2 CPUs only
         cpu_counts = (1, 2, 3) if command == "gridsearch" else (1, 2)
@@ -539,7 +550,8 @@ class TestConfigFile:
     def test_dashed_key(self, data_files, tmp_path):
         config = self.write(tmp_path, "time-limit=20\nGAP_TOL=0.001\n")
         resolved = report_config(
-            gridsearch_argv(*data_files) + ["--config", config], tmp_path
+            fit_argv(*data_files, tmp_path / "report.json")[:-2] + ["--config", config],
+            tmp_path,
         )
         assert (resolved["time_limit"], resolved["gap_tol"]) == (20.0, 0.001)
 
@@ -567,7 +579,7 @@ class TestConfigFile:
     def test_flags_beat_config_even_at_their_defaults(self, data_files, tmp_path):
         config = self.write(tmp_path, "standardize=no\nseed=9\ntime_limit=20\n")
         resolved = report_config(
-            gridsearch_argv(*data_files) + [
+            fit_argv(*data_files, tmp_path / "report.json")[:-2] + [
                 "--config", config, "--standardize", "--seed", "0",
                 "--time-limit", "300",
             ],
@@ -629,17 +641,15 @@ class TestProvenance:
         assert report_config(argv, tmp_path) == {
             "command": "gridsearch", "data": data, "graph": graph, "chain": False,
             "kl": 2, "kg": 3, "kc": 4, "standardize": True, "holdout": 0.4,
-            "seed": 0, "time_limit": 300.0, "gap_tol": 1e-6, "output": str(out),
-            "omit_timings": False,
+            "seed": 0, "output": str(out),
         }
 
     def test_gridsearch_synthetic_mode(self, tmp_path):
         out = tmp_path / "report.json"
-        argv = ["gridsearch", *SYNTH_ARGV, "--omit-timings"]
+        argv = ["gridsearch", *SYNTH_ARGV]
         assert report_config(argv, tmp_path) == {
             "command": "gridsearch", **SYNTH_PARAMS, "holdout": 0.3, "seed": 6,
-            "time_limit": 300.0, "gap_tol": 1e-6, "output": str(out),
-            "omit_timings": True,
+            "output": str(out),
         }
 
 

@@ -72,13 +72,19 @@ def chain_data(tmp_path):
 @pytest.mark.parametrize("command,expected", [
     ("fit", [CORE, FLAPACK]),
     ("gridsearch", [FLAPACK]),
+    ("synthetic-gridsearch", [FLAPACK]),
 ])
 def test_only_fit_loads_the_highs_extension(chain_data, tmp_path, command, expected):
-    # gridsearch makes SPD solves only; fit also runs the exact solver
-    argv = [command, "--data", chain_data, "--chain", "--kl", "1", "--kg", "2",
-            "--kc", "1", "--output", str(tmp_path / "report.json")]
-    if command == "fit":
-        argv += ["--lambda-beta", "1.0", "--lambda-delta", "1.0"]
+    # gridsearch makes SPD solves only; fit also runs the exact solver. A
+    # synthetic response whose root bound HiGHS would read as infinite is
+    # refused by the exact solver alone, so gridsearch fits it
+    data = ["--data", chain_data, "--chain", "--kl", "1", "--kg", "2", "--kc", "1"]
+    argv = {
+        "fit": ["fit", *data, "--lambda-beta", "1.0", "--lambda-delta", "1.0"],
+        "gridsearch": ["gridsearch", *data],
+        "synthetic-gridsearch": ["gridsearch", "--n", "4", "--t", "3", "--d", "3",
+                                 "--kl", "1", "--kc", "1", "--xi", "1e-150"],
+    }[command] + ["--output", str(tmp_path / "report.json")]
     lines = ["from slowreg.cli import main", f"assert main({argv!r}) == 0"]
     assert loaded_after(lines) == expected
 

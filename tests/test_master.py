@@ -489,6 +489,22 @@ class TestTermination:
         assert res.upper_bound == pytest.approx(best_cost, abs=1e-8)
         assert res.lower_bound <= best_cost + 1e-8
 
+    def test_dry_heap_bound_keeps_the_dominated_lp_values(self):
+        # the root is dominated: its LP value lies within gap_tol below the
+        # warm start's cost, and below the enumerated optimum, and the heap
+        # runs dry after it, so upper alone is no lower bound
+        instance = make_instance(T=2, D=2, N=6, seed=258, lambda_beta=1.0, lambda_delta=0.0,
+                                 graph=SimilarityGraph(2, ()))
+        qf = build_quadform(instance)
+        budget = SparsityBudget(max_per_vertex=1, max_global=1, max_changes=0)
+        warm = stepwise_fit(instance, budget, seed=258, qf=qf)
+        res = solve_support_selection(qf, budget, warm_start=warm.z)
+        best, _ = exhaustive_best_support(instance, 1, 1, 0)
+        assert (res.status, res.node_count) == ("optimal", 1)
+        assert res.lower_bound <= best < res.upper_bound
+        assert 0.0 < res.relative_gap <= SolveLimits.gap_tol
+        assert res.history[-1][1:] == (res.lower_bound, res.upper_bound)
+
     def test_exhausted_search_without_incumbent_is_an_internal_error(self, monkeypatch):
         # z = 0 keeps the root LP feasible, so an empty heap without an
         # incumbent can only come from a fault in the node LPs

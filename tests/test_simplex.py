@@ -71,17 +71,18 @@ def assert_kkt(lp, res, tol=KKT_TOL):
 
 
 def basis_of(statuses):
-    """A HiGHS basis from (column statuses, row statuses)."""
+    """A start from (column statuses, row statuses)."""
     hc = core()
     basis = hc.HighsBasis()
     basis.valid = True
     basis.col_status, basis.row_status = statuses
-    return basis
+    return basis, len(statuses[0]), len(statuses[1])
 
 
 def basic_columns(state):
     basic = core().HighsBasisStatus.kBasic
-    return [j for j, status in enumerate(state.col_status) if status == basic]
+    basis, _, _ = state
+    return [j for j, status in enumerate(basis.col_status) if status == basic]
 
 
 def random_lp(rng, force_feasible):
@@ -672,5 +673,7 @@ class TestValidation:
         assert a.iterations == b.iterations
         if a.status == "optimal":
             assert np.array_equal(a.x, b.x)
-            assert a.state.col_status == b.state.col_status
-            assert a.state.row_status == b.state.row_status
+            (basis_a, *counts_a), (basis_b, *counts_b) = a.state, b.state
+            assert counts_a == counts_b == [lp.n, lp.m]
+            assert basis_a.col_status == basis_b.col_status
+            assert basis_a.row_status == basis_b.row_status
