@@ -34,6 +34,7 @@ from .stepwise import greedy_start, sparse_ridge_greedy, stepwise_fit
 
 MODES = ("temporal", "spatial")
 METHODS = ("static", "stepwise", "cutplane")
+HOLDOUT_FRACTION = 0.3  # the share of each vertex's rows that tuning holds out
 _GEN_BLOCK = 1 << 17  # doubles per block of gen_x's second part (1 MiB)
 
 
@@ -56,8 +57,8 @@ class SynthParams:
     t: int
     d: int
     k_l: int
-    k_c: int = 0
     k_g: int | None = None
+    k_c: int = 0
     sigma_v: float = 0.0
     xi: float = 2.0
     rho_t: float = 0.0
@@ -93,13 +94,7 @@ class SynthParams:
                 raise ValueError("spatial mode requires an edge count e >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "t": self.t, "d": self.d,
-            "k_l": self.k_l, "k_g": self.k_g, "k_c": self.k_c,
-            "sigma_v": self.sigma_v, "xi": self.xi,
-            "rho_t": self.rho_t, "rho_d": self.rho_d,
-            "e": self.e, "mode": self.mode, "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -496,17 +491,24 @@ def default_grid(n_anchor: float) -> list[tuple[float, float]]:
     ]
 
 
+def check_holdout_split(row_counts, fraction: float = HOLDOUT_FRACTION) -> None:
+    """ValueError unless 0 < fraction < 1 and every vertex has 2 rows or more."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"holdout fraction must lie strictly between 0 and 1, got {fraction}")
+    for vertex, rows in enumerate(row_counts):
+        if rows < 2:
+            raise ValueError(f"vertex {vertex} has {'a single row' if rows else 'no rows'}, "
+                             "and a holdout split holds out rows at every vertex")
+
+
 def _holdout_rows(
     row_counts: tuple[int, ...], fraction: float, seed: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-vertex (train_rows, holdout_rows) index pairs, seeded permutation."""
-    if not (0.0 < fraction < 1.0):
-        raise ValueError("holdout fraction must lie strictly between 0 and 1")
+    check_holdout_split(row_counts, fraction)
     rng = np.random.default_rng(seed)
     out = []
     for rows in row_counts:
-        if rows < 2:
-            raise ValueError("need at least 2 rows per vertex to hold some out")
         perm = rng.permutation(rows)
         n_hold = min(rows - 1, max(1, int(round(fraction * rows))))
         out.append((np.sort(perm[n_hold:]), np.sort(perm[:n_hold])))
@@ -596,7 +598,7 @@ def grid_search(
     instance: ProblemInstance,
     budget: SparsityBudget,
     grid: list[tuple[float, float]] | None = None,
-    holdout_fraction: float = 0.3,
+    holdout_fraction: float = HOLDOUT_FRACTION,
     seed: int = 0,
 ) -> GridSearchResult:
     """Pick regularization weights by holdout R^2 of the stepwise heuristic.
@@ -724,13 +726,13 @@ def tune_static(instance: ProblemInstance, k: int, seed: int = 0) -> tuple[float
     """Ridge weight for the static baseline by the same holdout protocol.
 
     The candidates are `lambda_beta_grid` at the mean row count, scored on a
-    0.3 holdout split, which reorders each vertex's rows in place and
+    `HOLDOUT_FRACTION` split, which reorders each vertex's rows in place and
     restores them as `grid_search` does. The training rows are stacked once
     for the whole search.
     """
     t, d = instance.vertex_count, instance.feature_count
     grid = lambda_beta_grid(float(np.mean(instance.row_counts)))
-    with _holdout_views(instance, 0.3, seed) as (train, hold_blocks):
+    with _holdout_views(instance, HOLDOUT_FRACTION, seed) as (train, hold_blocks):
         x, y = np.vstack(train.x_blocks), np.concatenate(train.y_blocks)
         r2s = [_pooled_r2(_fit_stacked(x, y, t, k, lb)[0].reshape(t, d), hold_blocks)
                for lb in grid]

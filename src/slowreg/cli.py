@@ -9,7 +9,9 @@ synthetic dataset.
 
 Each flag is declared once, in the argparse table, with its type and its
 default; float flags take finite numbers only and `--seed` a nonnegative
-integer. A flat `key=value` config file presets the flags of the chosen
+integer. `SolveLimits`, `check_holdout_split` and `SynthParams` check
+their own values, and their messages become usage errors prefixed with
+the command. A flat `key=value` config file presets the flags of the chosen
 command: each value is converted by its flag's own type, the converted
 values become the subparser's defaults, and argv is parsed again, so
 explicit flags win. The parsed namespace is the run configuration.
@@ -36,8 +38,11 @@ import numpy as np
 
 from . import __version__
 from .benchmark import (
+    HOLDOUT_FRACTION,
     METHODS,
+    MODES,
     SynthParams,
+    check_holdout_split,
     grid_search,
     make_synthetic_dataset,
     run_benchmark,
@@ -95,6 +100,8 @@ _COMMAND_KEYS = {
     "synth": ("methods", "dump_data") + _SOLVER_KEYS,
     "gridsearch": ("holdout",),
 }
+# the generator's flags besides the budgets; gridsearch on --data refuses them
+_SYNTH_FLAGS = ("mode", "n", "t", "d", "e", "sigma_v", "xi", "rho_t", "rho_d")
 
 
 def _build_parser():
@@ -136,7 +143,7 @@ def _build_parser():
 
     def synth_inputs(p):
         # no defaults here: SynthParams owns them
-        p.add_argument("--mode", choices=("temporal", "spatial"),
+        p.add_argument("--mode", choices=MODES,
                        help="generator family (default temporal)")
         p.add_argument("--n", type=int, help="rows per vertex")
         p.add_argument("--t", type=int, help="number of vertices")
@@ -175,7 +182,7 @@ def _build_parser():
     data_inputs(p_gs)
     synth_inputs(p_gs)
     budgets(p_gs)
-    p_gs.add_argument("--holdout", type=finite_float, default=0.3,
+    p_gs.add_argument("--holdout", type=finite_float, default=HOLDOUT_FRACTION,
                       help="holdout fraction (default %(default)s)")
     common(p_gs)
 
@@ -218,18 +225,31 @@ def _existing(path: str, what: str) -> str:
     return path
 
 
+def _checked(ns, rule, *args, hint: str = "", **kwargs):
+    """rule(*args, **kwargs); its ValueError becomes this command's usage error + `hint`."""
+    try:
+        return rule(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(f"{ns.command}: {exc}{hint}") from None
+
+
 def _synth_params(ns) -> SynthParams:
     """The synthetic parameters from the flags given; SynthParams fills the rest."""
     _require(ns, ["n", "t", "d", "kl"], ns.command)
     if ns.mode == "spatial":
         _require(ns, ["kg", "e"], f"{ns.command} --mode spatial")
-    given = {"k_l": ns.kl, "k_c": ns.kc, "k_g": ns.kg}
-    for name in ("n", "t", "d", "e", "sigma_v", "xi", "rho_t", "rho_d", "mode", "seed"):
-        given[name] = getattr(ns, name)
-    try:
-        return SynthParams(**{k: v for k, v in given.items() if v is not None})
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    given = {"k_l": ns.kl, "k_c": ns.kc, "k_g": ns.kg, "seed": ns.seed}
+    given.update((name, getattr(ns, name)) for name in _SYNTH_FLAGS)
+    return _checked(ns, SynthParams, **{k: v for k, v in given.items() if v is not None})
+
+
+def _check_one_source(ns) -> None:
+    """gridsearch reads --data or generates from the synthetic flags, not both."""
+    data = ns.params is None
+    for name in _SYNTH_FLAGS if data else ("graph", "chain", "standardize"):
+        if getattr(ns, name) is not None and getattr(ns, name) is not False:
+            raise UsageError(f"gridsearch: --{name.replace('_', '-')} does not apply to "
+                             + ("a run on --data" if data else "a synthetic run (no --data)"))
 
 
 def _check_data_inputs(ns) -> None:
@@ -261,19 +281,15 @@ def parse_config(argv=None) -> argparse.Namespace:
         ns = parser.parse_args(argv)
 
     if ns.command == "gridsearch":
-        if not 0.0 < ns.holdout < 1.0:
-            raise UsageError("gridsearch: --holdout must lie strictly between 0 and 1")
-    elif ns.time_limit < 0.0:
-        raise UsageError("--time-limit must be nonnegative")
-    elif not ns.gap_tol > 0.0:
-        raise UsageError("--gap-tol must be positive")
+        _checked(ns, check_holdout_split, (), ns.holdout)
+    else:
+        ns.limits = _checked(ns, SolveLimits, time_limit=ns.time_limit, gap_tol=ns.gap_tol)
     # gridsearch runs on --data when it is given, on a synthetic dataset otherwise
     if ns.command == "synth" or (ns.command == "gridsearch" and not ns.data):
         ns.params = _synth_params(ns)
-        if ns.params.n < 2:
-            # every method tunes its weights on held-out rows
-            raise UsageError(f"{ns.command}: --n {ns.params.n} leaves no row to "
-                             "hold out for tuning the weights; give --n 2 or more")
+        # every method tunes its weights on held-out rows
+        _checked(ns, check_holdout_split, (ns.params.n,) * ns.params.t,
+                 hint="; give --n 2 or more")
     else:
         ns.params = None
         _check_data_inputs(ns)
@@ -296,6 +312,8 @@ def parse_config(argv=None) -> argparse.Namespace:
                 f"synth: --methods must name some of {','.join(METHODS)}"
             )
         ns.methods = ",".join(methods)
+    else:
+        _check_one_source(ns)
     return ns
 
 
@@ -330,7 +348,8 @@ def _standardize_blocks(x_blocks, y_blocks):
 
 
 def _load_fit_inputs(ns):
-    """CSV + graph into an instance, optionally standardized; errors map to I/O.
+    """CSV + graph into an instance, optionally standardized, and its checked
+    budget; read errors map to I/O.
 
     Both weights of the instance sit at the mean row count, where the
     tuning grid is anchored.
@@ -346,32 +365,13 @@ def _load_fit_inputs(ns):
         x_blocks, y_blocks, scaling = _standardize_blocks(x_blocks, y_blocks)
     anchor = float(np.mean([x.shape[0] for x in x_blocks]))
     instance = ProblemInstance(graph, tuple(x_blocks), tuple(y_blocks), anchor, anchor)
-    return instance, scaling
-
-
-def _check_tunable(ns, instance: ProblemInstance) -> None:
-    """Tuning holds out rows at every vertex, so each needs at least two."""
-    counts = instance.row_counts
-    if min(counts) < 2:
-        hint = "; give --lambda-beta and --lambda-delta to fit without tuning"
-        raise UsageError(
-            f"{ns.command}: vertex {counts.index(min(counts))} has a single row, "
-            "and tuning the weights holds out rows at every vertex"
-            + (hint if ns.command == "fit" else "")
-        )
-
-
-def _budget(ns, instance: ProblemInstance) -> SparsityBudget:
     budget = SparsityBudget(max_per_vertex=ns.kl, max_global=ns.kg, max_changes=ns.kc)
     budget.validate(instance.vertex_count, instance.feature_count)
-    return budget
+    return instance, budget, scaling
 
 
 def _dataset(ns):
-    try:
-        return make_synthetic_dataset(ns.params)
-    except ValueError as exc:
-        raise UsageError(f"{ns.command}: {exc}") from None
+    return _checked(ns, make_synthetic_dataset, ns.params)
 
 
 def _stepwise_block(fit) -> dict:
@@ -380,11 +380,11 @@ def _stepwise_block(fit) -> dict:
 
 
 def _run_fit(ns) -> dict:
-    instance, scaling = _load_fit_inputs(ns)
+    instance, budget, scaling = _load_fit_inputs(ns)
     t, d = instance.vertex_count, instance.feature_count
-    budget = _budget(ns, instance)
     if ns.grid:
-        _check_tunable(ns, instance)
+        _checked(ns, check_holdout_split, instance.row_counts,
+                 hint="; give --lambda-beta and --lambda-delta to fit without tuning")
         gs = grid_search(instance, budget, seed=ns.seed)
         instance, warm = gs.instance, gs.fit
         lambda_beta, lambda_delta = gs.lambda_beta, gs.lambda_delta
@@ -393,9 +393,8 @@ def _run_fit(ns) -> dict:
         instance = instance.with_weights(lambda_beta, lambda_delta)
         warm = stepwise_fit(instance, budget, seed=ns.seed)
 
-    limits = SolveLimits(time_limit=ns.time_limit, gap_tol=ns.gap_tol)
     res = solve_support_selection(
-        build_quadform(instance), budget, warm_start=warm.z, limits=limits
+        build_quadform(instance), budget, warm_start=warm.z, limits=ns.limits
     )
     solver = solver_summary(res)
     if ns.omit_timings:
@@ -435,9 +434,8 @@ def _run_synth(ns) -> dict:
 
 def _run_gridsearch(ns) -> dict:
     if ns.params is None:
-        instance, _ = _load_fit_inputs(ns)
-        budget = _budget(ns, instance)
-        _check_tunable(ns, instance)
+        instance, budget, _ = _load_fit_inputs(ns)
+        _checked(ns, check_holdout_split, instance.row_counts)
     else:
         dataset = _dataset(ns)
         instance, budget = dataset.instance, solver_budget(dataset)

@@ -25,9 +25,10 @@ is tight there: its value at z is cost(z). Every gradient entry is <= 0.
 
 Every graph gets the same restricted solve. In vertex order the system is
 block-banded: a diagonal block per vertex and a -lambda_delta coupling per
-edge, so one LAPACK dpbsv call solves it (`blocktri`). The band reaches as
-far as the graph's farthest edge in vertex order: on a chain it is block
-tridiagonal, and an edge (0, T-1) makes it full, as costly as a dense
+edge whose two selections share a feature, so one LAPACK dpbsv call solves
+it (`blocktri`). The band reaches as far as the farthest such edge in vertex
+order: on a chain it is at most block tridiagonal, and an edge (0, T-1)
+whose ends share a feature makes it full, as costly as a dense
 factorisation. A restricted system that is not positive definite in
 floating point, or whose solution is not finite, raises `WeightError`,
 which names the weights. No stored D x D block is read: each restricted
@@ -62,20 +63,17 @@ def _as_support(z: np.ndarray, n: int) -> np.ndarray:
     return zb
 
 
-def _selected(qf: QuadForm, zb: np.ndarray) -> list[np.ndarray]:
-    return [row.nonzero()[0] for row in zb.reshape(qf.vertex_count, qf.feature_count)]
-
-
 def _solve_restricted(qf: QuadForm, zb: np.ndarray) -> np.ndarray:
     """v0 = (lambda_beta I + M_zz)^{-1} mu_z, embedded into (T*D,)."""
     v0 = np.zeros(zb.size)
     if not zb.any():
         return v0
-    sel = _selected(qf, zb)
+    sel = [row.nonzero()[0] for row in zb.reshape(qf.vertex_count, qf.feature_count)]
     diag = [qf.diag_block(t, s) for t, s in enumerate(sel)]
     couplings = [
-        (s, t, np.equal.outer(sel[t], sel[s]) * -qf.lambda_delta)
+        (s, t, shared * -qf.lambda_delta)
         for s, t in qf.graph.edges
+        if (shared := np.equal.outer(sel[t], sel[s])).any()
     ]
     try:
         # vertex-major with sorted sel[t], so the unknowns are in zb's order

@@ -489,6 +489,30 @@ class TestGridSearch:
             grid_search(ds.instance, budget, grid=[(1.0, 1.0)], holdout_fraction=0.0)
 
 
+class TestCheckHoldoutSplit:
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5, np.nan])
+    def test_fraction_must_lie_strictly_between_0_and_1(self, fraction):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            bench.check_holdout_split((5, 5), fraction)
+
+    @pytest.mark.parametrize("fraction", [1e-9, bench.HOLDOUT_FRACTION, 1.0 - 1e-9])
+    def test_fraction_inside_and_two_rows_everywhere_pass(self, fraction):
+        bench.check_holdout_split((2, 3), fraction)
+
+    def test_names_the_first_short_vertex(self):
+        with pytest.raises(ValueError) as raised:
+            bench.check_holdout_split((4, 1, 3, 1))
+        assert str(raised.value) == (
+            "vertex 1 has a single row, and a holdout split holds out rows at every vertex"
+        )
+        with pytest.raises(ValueError, match="^vertex 2 has no rows"):
+            bench.check_holdout_split((2, 2, 0, 1))
+
+    def test_the_fraction_is_checked_first(self):
+        with pytest.raises(ValueError, match="holdout fraction"):
+            bench.check_holdout_split((1,), 0.0)
+
+
 # lambda_beta interleaved and repeated, so consecutive pairs rarely share it
 INTERLEAVED_GRID = [
     (4.0, 1.0), (12.0, 0.0), (4.0, 3.0), (1.5, 1.0),

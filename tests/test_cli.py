@@ -12,6 +12,7 @@ import pytest
 
 import slowreg
 from slowreg import (
+    ProblemInstance,
     SimilarityGraph,
     SolveLimits,
     SparsityBudget,
@@ -22,7 +23,7 @@ from slowreg import (
 )
 from slowreg.benchmark import SynthParams, make_synthetic_dataset
 from slowreg.cli import main
-from slowreg.dataio import write_data_csv, write_edge_list
+from slowreg.dataio import read_data_csv, write_data_csv, write_edge_list
 
 from util import make_instance
 
@@ -112,9 +113,10 @@ class TestExitCodes:
             ("empty_methods", "--methods must name some of"),
             ("empty_methods_config", "--methods must name some of"),
             ("no_command", "a command is required"),
-            ("negative_time_limit", "--time-limit must be nonnegative"),
-            ("zero_gap_tol", "--gap-tol must be positive"),
-            ("holdout_one", "--holdout must lie strictly between 0 and 1"),
+            ("negative_time_limit", "fit: time_limit must be nonnegative or inf, got -1.0"),
+            ("zero_gap_tol", "fit: gap_tol must be finite and positive, got 0.0"),
+            ("holdout_one",
+             "gridsearch: holdout fraction must lie strictly between 0 and 1, got 1.0"),
             ("gridsearch_time_limit", "unrecognized arguments: --time-limit 5"),
             ("gridsearch_gap_tol_config", "unknown config key 'gap_tol' for this command"),
             ("lambda_beta_alone", "give both --lambda-beta and --lambda-delta"),
@@ -122,6 +124,14 @@ class TestExitCodes:
             ("spatial_without_kg", "--mode spatial: missing required --kg"),
             ("no_graph", "a graph is required (--graph FILE or --chain)"),
             ("kl_above_d", "need 1 <= k_l <= d, got k_l=6, d=5"),
+            ("data_gridsearch_synthetic_flags",
+             "gridsearch: --mode does not apply to a run on --data"),
+            ("data_gridsearch_synthetic_config_key",
+             "gridsearch: --sigma-v does not apply to a run on --data"),
+            ("synthetic_gridsearch_data_flags",
+             "gridsearch: --graph does not apply to a synthetic run (no --data)"),
+            ("synthetic_gridsearch_data_config_key",
+             "gridsearch: --standardize does not apply to a synthetic run (no --data)"),
         ],
     )
     def test_usage_errors_exit_2(self, data_files, tmp_path, capsys, case, message):
@@ -132,7 +142,10 @@ class TestExitCodes:
         fit = fit_argv(data, graph, tmp_path / "report.json")
         config = tmp_path / "run.cfg"
         config.write_text({"empty_methods_config": "methods=\n",
-                           "gridsearch_gap_tol_config": "gap_tol=0.001\n"}.get(case, "bogus=1\n"))
+                           "gridsearch_gap_tol_config": "gap_tol=0.001\n",
+                           "data_gridsearch_synthetic_config_key": "sigma-v=0\n",
+                           "synthetic_gridsearch_data_config_key": "standardize=yes\n",
+                           }.get(case, "bogus=1\n"))
         argv = {
             "missing_kl": base + ["--kg", "3", "--kc", "4"],
             "graph_and_chain": base + budgets + ["--chain"],
@@ -152,6 +165,16 @@ class TestExitCodes:
             "spatial_without_kg": synth + ["--mode", "spatial", "--e", "2"],
             "no_graph": ["fit", "--data", data, *budgets],
             "kl_above_d": ["synth", "--n", "12", "--t", "3", "--d", "5", "--kl", "6"],
+            "data_gridsearch_synthetic_flags": ["gridsearch", "--data", data, "--chain",
+                                                *budgets, "--n", "5", "--xi", "7",
+                                                "--mode", "spatial"],
+            "data_gridsearch_synthetic_config_key": base + budgets
+            + ["--config", str(config)],
+            "synthetic_gridsearch_data_flags": ["gridsearch"] + synth[1:]
+            + ["--kc", "1", "--chain", "--standardize",
+               "--graph", str(tmp_path / "nonexist.txt")],
+            "synthetic_gridsearch_data_config_key": ["gridsearch"] + synth[1:]
+            + ["--config", str(config)],
         }[case]
         assert main(argv) == 2
         assert message in capsys.readouterr().err
@@ -304,19 +327,31 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "gridsearch: vertex 0 has a single row" in capsys.readouterr().err
 
+    def test_grid_search_and_the_cli_give_one_rows_message(self, one_row_at_vertex_0,
+                                                           capsys):
+        x_blocks, y_blocks = read_data_csv(one_row_at_vertex_0[1])
+        instance = ProblemInstance(SimilarityGraph.chain(3), x_blocks, y_blocks, 1.0, 1.0)
+        budget = SparsityBudget(max_per_vertex=1, max_global=2, max_changes=1)
+        with pytest.raises(ValueError) as raised:
+            grid_search(instance, budget)
+        assert main(["gridsearch"] + one_row_at_vertex_0) == 2
+        assert capsys.readouterr().err == f"error: gridsearch: {raised.value}\n"
+
     @pytest.mark.parametrize("methods", ["static", "stepwise", "cutplane",
                                          "static,stepwise,cutplane"])
     def test_one_row_synth_exits_2(self, tmp_path, capsys, methods):
         argv = ["synth", "--n", "1", "--t", "3", "--d", "4", "--kl", "1", "--kc", "1",
                 "--methods", methods, "--output", str(tmp_path / "synth.json")]
         assert main(argv) == 2
-        assert "synth: --n 1 leaves no row to hold out" in capsys.readouterr().err
+        assert ("synth: vertex 0 has a single row, and a holdout split holds out rows "
+                "at every vertex; give --n 2 or more") in capsys.readouterr().err
 
     def test_one_row_synthetic_gridsearch_exits_2(self, tmp_path, capsys):
         argv = ["gridsearch", "--n", "1", "--t", "3", "--d", "4", "--kl", "1",
                 "--kc", "1", "--output", str(tmp_path / "gs.json")]
         assert main(argv) == 2
-        assert "gridsearch: --n 1 leaves no row to hold out" in capsys.readouterr().err
+        assert ("gridsearch: vertex 0 has a single row, and a holdout split holds out "
+                "rows at every vertex; give --n 2 or more") in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["fit", "gridsearch"])
     @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])

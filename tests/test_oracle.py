@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import slowreg.blocktri as blocktri
+
 from slowreg import (
     ProblemInstance,
     QuadForm,
@@ -111,6 +113,31 @@ class TestChainFastPath:
             assert eval_cost(qf, z) == pytest.approx(
                 -0.5 * float(rhs @ x), rel=1e-10, abs=1e-13
             )
+
+
+class TestBandWidth:
+    def test_an_edge_whose_supports_share_no_feature_leaves_the_band(self, monkeypatch):
+        # the edge (0, 3) would make the band full; its ends select features 0 and 1
+        graph = SimilarityGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+        inst = make_instance(T=4, D=3, N=6, seed=5, lambda_delta=0.7, graph=graph)
+        z = np.zeros((4, 3), dtype=bool)
+        z[0, 0] = z[1, 0] = z[1, 1] = z[2, 1] = z[3, 1] = True
+        z = z.ravel()
+        widths = []
+        real = blocktri.lapack.dpbsv
+
+        def spy(ab, b, **kwargs):
+            widths.append(ab.shape[0] - 1)
+            return real(ab, b, **kwargs)
+
+        monkeypatch.setattr(blocktri.lapack, "dpbsv", spy)
+        v0 = beta_star(build_quadform(inst), z)
+        # the edges (0, 1) and (1, 2) reach 2 unknowns below the diagonal
+        assert widths == [2]
+        dense = dense_coupled_reference(inst) + inst.lambda_beta * np.eye(12)
+        want = np.linalg.solve(dense[np.ix_(z, z)], build_quadform(inst).mu[z])
+        np.testing.assert_allclose(v0[z], want, rtol=1e-12, atol=1e-12)
+        assert not v0[~z].any()
 
 
 class TestNonFiniteData:
